@@ -12,15 +12,25 @@ pins the memory model itself: the paired happy path must never construct a
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign import CampaignRunner, default_campaign, merge_jsonl
+from repro.campaign.spec import MODE_REFERENCE, MODES
 
 #: ``CampaignResult.fingerprint()`` of the default campaign as recorded by
 #: the PR 3 (pre-streaming-refactor) pipeline.
 PR3_DEFAULT_CAMPAIGN_FINGERPRINT = (
     "5e1aa1d8cacafd425b1f5f2267e405aec2a0c6afbaf34b811424d7e11373ecdd"
+)
+
+#: ``CampaignResult.fingerprint()`` of every default spec run unpaired in
+#: both modes (see :func:`_both_mode_specs`).  Unlike the paired pin above,
+#: whose rows cover only the Smart runs and the pair verdicts, this one
+#: holds every reference-mode row too.
+BOTH_MODES_FINGERPRINT = (
+    "4ff1d4bcbd518b4b76d7597942695850ba124e4b5dd4ff66ee62f0731bbb4548"
 )
 
 FIXTURE = os.path.join(
@@ -65,6 +75,29 @@ class TestDigestCompatibility:
                     row["trace_digest"],
                     row["trace_lines"],
                 ), f"trace digest drifted for {row['name']}[{row['mode']}]"
+
+
+def _both_mode_specs(burst):
+    """Each default spec in reference and in Smart mode, named
+    ``name@mode``; reference-mode contention is left out because it has no
+    reference twin and raises by design."""
+    return [
+        replace(spec.with_mode(mode), name=f"{spec.name}@{mode}")
+        for spec in default_campaign(burst=burst)
+        for mode in MODES
+        if not (spec.workload == "contention" and mode == MODE_REFERENCE)
+    ]
+
+
+class TestBothModesPinned:
+    @pytest.mark.parametrize("burst", (True, False))
+    def test_unpaired_both_mode_campaign_is_pinned(self, burst):
+        """Span and word transfers reproduce one pin in both modes: burst
+        is a speed knob and never changes a reference or a Smart row."""
+        specs = _both_mode_specs(burst)
+        assert len(specs) == 36
+        result = CampaignRunner(workers=1, paired=False).run(specs)
+        assert result.fingerprint() == BOTH_MODES_FINGERPRINT
 
 
 class TestMemoryModel:
