@@ -54,14 +54,10 @@ from .runner import (
     CampaignResult,
     CampaignRunner,
     JsonlSink,
-    PairHalf,
     PairRecord,
     SpecRunRecord,
     combine_pair,
     diff_pair_streaming,
-    execute_half,
-    execute_pair,
-    execute_paired_spec,
     execute_spec,
     load_resume_state,
     merge_jsonl,
@@ -102,7 +98,6 @@ __all__ = [
     "TimeoutRecord",
     "MODE_REFERENCE",
     "MODE_SMART",
-    "PairHalf",
     "PairRecord",
     "ScenarioSpec",
     "SpecRunRecord",
@@ -113,10 +108,7 @@ __all__ = [
     "default_campaign",
     "describe_specs",
     "diff_pair_streaming",
-    "execute_half",
     "load_resume_state",
-    "execute_pair",
-    "execute_paired_spec",
     "execute_spec",
     "merge_jsonl",
     "parse_jsonl_rows",

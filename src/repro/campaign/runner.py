@@ -17,10 +17,11 @@ seed — and sends back a small picklable record.  Three guarantees matter:
   ``smart`` modes and the locally-timestamped traces are diffed with
   :mod:`repro.analysis.trace_diff`; an empty diff means the Smart FIFO
   changed neither the behaviour nor the timing of that spec.  The two
-  halves of a pair are **independent jobs**: each worker ships back its
-  reordered trace lines (:class:`PairHalf`) and the diff happens at
-  aggregation, so a mostly-pairable campaign keeps every worker busy
-  instead of serializing both runs inside one job.
+  runs of a pair are **independent jobs**: each worker ships back the
+  :class:`SpecRunRecord` of its mode, whose ``trace_digest`` stands in for
+  the reordered trace, and the comparison happens at aggregation
+  (:func:`combine_pair`), so a mostly-pairable campaign keeps every worker
+  busy instead of serializing both runs inside one job.
 * **Shard transparency** — :meth:`CampaignRunner.shard_specs` partitions a
   campaign deterministically into ``N`` shards; running each shard on its
   own machine (``--shard i/N``), streaming the rows to JSONL and merging
@@ -255,29 +256,6 @@ class PairRecord:
         )})
 
 
-@dataclass
-class PairHalf:
-    """One half of a split paired run, shipped back by its worker.
-
-    Carries everything the parent needs to recombine the pair without
-    re-simulating: the run record of this mode (whose ``trace_digest`` is
-    the SHA-256 of the *reordered* trace — the Section IV-A comparison
-    key) and the deterministic extras.  The trace itself never crosses the
-    process boundary: because
-    :meth:`~repro.kernel.tracing.TraceRecord.sort_key` and ``format`` are
-    both injective on (local date, process, message), digest equality is
-    exactly reordered-trace equality, and a mismatching pair is upgraded
-    to the full line-level report by :func:`diff_pair_streaming`.
-    """
-
-    name: str
-    mode: str
-    record: SpecRunRecord
-    extras: Dict[str, object]
-    wall_seconds: float = 0.0
-    worker_pid: int = 0
-
-
 def _append_extras_report(report: str, extras_match: bool, ref_extras, smart_extras) -> str:
     if extras_match:
         return report
@@ -286,31 +264,35 @@ def _append_extras_report(report: str, extras_match: bool, ref_extras, smart_ext
     )
 
 
-def combine_pair(ref: PairHalf, smart: PairHalf) -> PairRecord:
-    """Recombine the two halves of a split pair: digest diff + extras check.
+def combine_pair(ref: SpecRunRecord, smart: SpecRunRecord) -> PairRecord:
+    """Recombine the reference and Smart runs of a pair: digest diff +
+    extras check.
 
-    The digests decide trace equivalence — an equivalent outcome is
-    bit-identical to the historical line-level diff; a mismatching one
-    carries a digest-level report, which the campaign runner upgrades to
-    the full line diff by re-running the pair on trace spools (see
-    :func:`diff_pair_streaming`).
+    Each run's ``trace_digest`` is the SHA-256 of its *reordered* trace —
+    the Section IV-A comparison key.  Because
+    :meth:`~repro.kernel.tracing.TraceRecord.sort_key` and ``format`` are
+    both injective on (local date, process, message), digest equality is
+    exactly reordered-trace equality, so the traces never cross the
+    process boundary.  An equivalent outcome is bit-identical to the
+    historical line-level diff; a mismatching one carries a digest-level
+    report, which the campaign runner upgrades to the full line diff by
+    re-running the pair on trace spools (see :func:`diff_pair_streaming`).
     """
-    extras_match = ref.extras == smart.extras
-    traces_equal = ref.record.trace_digest == smart.record.trace_digest
-    reference_lines = ref.record.trace_lines
-    candidate_lines = smart.record.trace_lines
+    extras_match = ref.extra == smart.extra
+    traces_equal = ref.trace_digest == smart.trace_digest
+    reference_lines = ref.trace_lines
+    candidate_lines = smart.trace_lines
     report = "" if traces_equal else (
         f"traces differ: {reference_lines} reference lines, "
         f"{candidate_lines} candidate lines (sorted-trace digests "
-        f"{ref.record.trace_digest[:12]} != "
-        f"{smart.record.trace_digest[:12]})"
+        f"{ref.trace_digest[:12]} != {smart.trace_digest[:12]})"
     )
-    report = _append_extras_report(report, extras_match, ref.extras, smart.extras)
+    report = _append_extras_report(report, extras_match, ref.extra, smart.extra)
     return PairRecord(
         name=ref.name,
         equivalent=traces_equal and extras_match,
-        reference_digest=ref.record.trace_digest,
-        smart_digest=smart.record.trace_digest,
+        reference_digest=ref.trace_digest,
+        smart_digest=smart.trace_digest,
         reference_lines=reference_lines,
         candidate_lines=candidate_lines,
         extras_match=extras_match,
@@ -392,42 +374,18 @@ def execute_spec(
     trace_out: Optional[str] = None,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> SpecRunRecord:
-    """Worker body of the single-mode campaign."""
+    """Worker body of every campaign job: run ``spec`` in its own mode.
+
+    A paired spec is two such jobs, one per mode, recombined by
+    :func:`combine_pair`; only the digest travels back to the parent —
+    the streamed ``trace_digest`` is a faithful stand-in for the reordered
+    trace, and the lines would dominate the IPC payload.
+    """
     sim, built, wall = _run_one(spec, trace_sink, telemetry)
     record = _record_from(spec, sim, built, wall)
     _export_trace(sim, spec, trace_out)
     sim.trace.close()
     return record
-
-
-def execute_half(
-    spec: ScenarioSpec,
-    mode: str,
-    trace_sink: str = DEFAULT_TRACE_SINK,
-    trace_out: Optional[str] = None,
-    telemetry: Telemetry = NULL_TELEMETRY,
-) -> PairHalf:
-    """Worker body of one half of a split pair: run ``spec`` in ``mode``.
-
-    Runs are deterministic per seed, so the embedded record is bit-identical
-    to what :func:`execute_spec` would produce for ``spec.with_mode(mode)``.
-    Only the digest travels back to the parent — the streamed
-    ``trace_digest`` is a faithful stand-in for the reordered trace, and
-    the lines would dominate the IPC payload.
-    """
-    mode_spec = spec.with_mode(mode)
-    sim, built, wall = _run_one(mode_spec, trace_sink, telemetry)
-    record = _record_from(mode_spec, sim, built, wall)
-    _export_trace(sim, mode_spec, trace_out)
-    sim.trace.close()
-    return PairHalf(
-        name=spec.name,
-        mode=mode,
-        record=record,
-        extras=built.extras() if built.extras is not None else {},
-        wall_seconds=wall,
-        worker_pid=os.getpid(),
-    )
 
 
 def diff_pair_streaming(spec: ScenarioSpec) -> PairRecord:
@@ -467,49 +425,14 @@ def diff_pair_streaming(spec: ScenarioSpec) -> PairRecord:
     return pair
 
 
-def execute_paired_spec(spec: ScenarioSpec, trace_sink: str = DEFAULT_TRACE_SINK):
-    """Run both halves of a pair inline and recombine them.
-
-    Kept as the one-process entry point (and for API compatibility): the
-    campaign itself schedules the two halves as independent jobs — see
-    :meth:`CampaignRunner._execute` — and recombines with
-    :func:`combine_pair`, which this function reuses, so the records are
-    bit-identical either way.  A digest mismatch is upgraded to the full
-    line-level report by re-running the pair on trace spools.
-
-    Returns ``(SpecRunRecord, PairRecord)``: the run record is taken from
-    the half matching ``spec.mode``, so a paired campaign never simulates
-    the same (spec, mode) twice — both halves double as single-mode results.
-    """
-    ref_half = execute_half(spec, MODE_REFERENCE, trace_sink)
-    smart_half = execute_half(spec, MODE_SMART, trace_sink)
-    pair = combine_pair(ref_half, smart_half)
-    if not pair.equivalent and trace_sink != "null":
-        # With tracing off there is no trace to diff (the mismatch can only
-        # come from the extras), so the spool upgrade would reintroduce the
-        # trace validation the caller disabled.
-        pair = diff_pair_streaming(spec)
-    record = ref_half.record if spec.mode == MODE_REFERENCE else smart_half.record
-    return record, pair
-
-
-def execute_pair(spec: ScenarioSpec) -> PairRecord:
-    """Just the :class:`PairRecord` of :func:`execute_paired_spec`."""
-    return execute_paired_spec(spec)[1]
-
-
-#: Job kinds (second element of a job tuple).  ``None`` marks a single-mode
-#: job; a mode string marks one half of a split pair.
-_JOB_SINGLE = None
-
-
 def _execute_job(job):
-    """Dispatch one tagged campaign job (see ``CampaignRunner._execute``).
+    """Run one campaign job (see ``CampaignRunner._execute``).
 
-    ``job`` is ``(spec_index, half_mode, spec, trace_sink, trace_out)``,
-    optionally extended with ``(telemetry_dir, enqueued_monotonic)``; the
-    index rides along so completion-order mappers (``imap_unordered``)
-    can be matched back to their spec without relying on submission order.
+    ``job`` is ``(spec_index, spec, trace_sink, trace_out)``, optionally
+    extended with ``(telemetry_dir, enqueued_monotonic)``; ``spec`` already
+    carries the mode to run in.  The index rides along so completion-order
+    mappers (``imap_unordered``) can be matched back to their spec without
+    relying on submission order.
 
     With a telemetry directory the worker opens (once per process) an
     appending ``worker-<pid>.jsonl`` sideband and wraps the job in
@@ -518,39 +441,28 @@ def _execute_job(job):
     cross-process span math: ``time.monotonic`` is system-wide on Linux,
     so the parent's enqueue stamp and this dequeue stamp share a clock.
     """
-    index, half_mode, spec, trace_sink, trace_out = job[:5]
-    telemetry_dir = job[5] if len(job) > 5 else None
+    index, spec, trace_sink, trace_out = job[:4]
+    telemetry_dir = job[4] if len(job) > 4 else None
     if telemetry_dir is None:
-        if half_mode is _JOB_SINGLE:
-            return index, half_mode, execute_spec(spec, trace_sink, trace_out)
-        return index, half_mode, execute_half(spec, half_mode, trace_sink, trace_out)
-    enqueued = job[6]
+        return index, execute_spec(spec, trace_sink, trace_out)
+    enqueued = job[5]
     telemetry = _worker_telemetry(telemetry_dir)
-    mode = spec.mode if half_mode is _JOB_SINGLE else half_mode
     now = time.monotonic()
     if now > enqueued:
         telemetry.span_at(
             "campaign.queue_wait", enqueued, now - enqueued,
-            spec=spec.name, mode=mode,
+            spec=spec.name, mode=spec.mode,
         )
-    with telemetry.span("campaign.execute", spec=spec.name, mode=mode):
-        if half_mode is _JOB_SINGLE:
-            outcome = execute_spec(
-                spec, trace_sink, trace_out, telemetry=telemetry
-            )
-        else:
-            outcome = execute_half(
-                spec, half_mode, trace_sink, trace_out, telemetry=telemetry
-            )
-    record = outcome if half_mode is _JOB_SINGLE else outcome.record
-    with telemetry.span("campaign.serialize", spec=spec.name, mode=mode):
+    with telemetry.span("campaign.execute", spec=spec.name, mode=spec.mode):
+        record = execute_spec(spec, trace_sink, trace_out, telemetry=telemetry)
+    with telemetry.span("campaign.serialize", spec=spec.name, mode=spec.mode):
         # The canonical-row encode is the worker's share of getting the
         # result onto the wire; the pool's own pickling cannot be timed
         # from inside the job.
         json.dumps(record.deterministic_row(), sort_keys=True)
     telemetry.counter("campaign.jobs_done")
     telemetry.flush()
-    return index, half_mode, outcome
+    return index, record
 
 
 # ---------------------------------------------------------------------------
@@ -1495,31 +1407,33 @@ class CampaignRunner:
     def _execute(self, specs: Sequence[ScenarioSpec], mapper, sink=None):
         """Run the campaign body with a completion-order job executor.
 
-        Each spec becomes either one ``single`` job, or — when ``paired``
-        is on and the spec is pairable — two independent half jobs (one per
-        mode) whose results are recombined here; the half matching
-        ``spec.mode`` doubles as the spec's single-mode run, so no
-        (spec, mode) simulates twice.  ``mapper`` yields completed
-        ``(spec_index, half_mode, outcome)`` triples in any order, which is
-        what lets pool workers stream results back as they finish (and the
-        JSONL sink persist them immediately).  A budget-killed job arrives
-        as a :class:`TimeoutRecord` outcome: it is persisted and
-        aggregated but never recombined — a pair with a timed-out half
+        Each spec becomes one job in its own mode, or — when ``paired`` is
+        on and the spec is pairable — one job per mode, recombined here by
+        :func:`combine_pair`; the run matching ``spec.mode`` doubles as the
+        spec's own run row, so no (spec, mode) simulates twice.  ``mapper``
+        yields completed ``(spec_index, outcome)`` pairs in any order,
+        which is what lets pool workers stream results back as they finish
+        (and the JSONL sink persist them immediately).  A budget-killed
+        job arrives as a :class:`TimeoutRecord` outcome: it is persisted
+        and aggregated but never recombined — a pair with a timed-out half
         simply has no pair row (the timeout row excuses it at merge time).
         """
         jobs = []
+        paired_indices: Set[int] = set()
         for index, spec in enumerate(specs):
             if self.paired and spec_is_pairable(spec):
-                jobs.append(self._job(index, MODE_REFERENCE, spec))
-                jobs.append(self._job(index, MODE_SMART, spec))
+                paired_indices.add(index)
+                modes = (MODE_REFERENCE, MODE_SMART)
             else:
-                jobs.append(self._job(index, _JOB_SINGLE, spec))
+                modes = (spec.mode,)
+            for mode in modes:
+                jobs.append(self._job(index, spec.with_mode(mode)))
         self._job_count = len(jobs)
         telemetry = self._telemetry
         ticker = self._ticker
         runs, pairs, timeouts = [], [], []
-        halves: Dict[int, Dict[str, PairHalf]] = {}
-        for index, half_mode, outcome in mapper(_execute_job, jobs):
+        halves: Dict[int, Dict[str, SpecRunRecord]] = {}
+        for index, outcome in mapper(_execute_job, jobs):
             spec = specs[index]
             if isinstance(outcome, TimeoutRecord):
                 timeouts.append(outcome)
@@ -1528,21 +1442,16 @@ class CampaignRunner:
                 if ticker is not None:
                     ticker.item_done(spec.name, detail=f"timeout {spec.name}")
                 continue
-            if half_mode is _JOB_SINGLE:
+            if outcome.mode == spec.mode:
                 runs.append(outcome)
                 if sink is not None:
                     sink.run_completed(outcome)
-                if ticker is not None:
-                    ticker.item_done(spec.name, detail=spec.name)
-                continue
-            half = outcome
-            if half.mode == spec.mode:
-                runs.append(half.record)
-                if sink is not None:
-                    sink.run_completed(half.record)
-            pending = halves.setdefault(index, {})
-            pending[half.mode] = half
-            if len(pending) == 2:
+            if index in paired_indices:
+                pending = halves.setdefault(index, {})
+                pending[outcome.mode] = outcome
+                if len(pending) < 2:
+                    continue
+                del halves[index]
                 recombine_t0 = (
                     time.perf_counter() if telemetry.enabled else 0.0
                 )
@@ -1550,7 +1459,7 @@ class CampaignRunner:
                     pending[MODE_REFERENCE], pending[MODE_SMART]
                 )
                 if not pair.equivalent and self.trace_sink != "null":
-                    # Failure path: the pool halves carry digests only, so
+                    # Failure path: the pool runs carry digests only, so
                     # re-run the pair inline over trace spools to upgrade
                     # the report to the full line-level diff
                     # (deterministic, hence identical for any worker
@@ -1567,15 +1476,14 @@ class CampaignRunner:
                 pairs.append(pair)
                 if sink is not None:
                     sink.pair_completed(pair)
-                if ticker is not None:
-                    ticker.item_done(spec.name, detail=spec.name)
-                del halves[index]
+            if ticker is not None:
+                ticker.item_done(spec.name, detail=spec.name)
         return runs, pairs, timeouts
 
-    def _job(self, index: int, half_mode: Optional[str], spec: ScenarioSpec):
+    def _job(self, index: int, spec: ScenarioSpec):
         """Build one job tuple; telemetry extends it with the sideband
         directory and an enqueue stamp (see :func:`_execute_job`)."""
-        job = (index, half_mode, spec, self.trace_sink, self.trace_out)
+        job = (index, spec, self.trace_sink, self.trace_out)
         if self.telemetry_dir is None:
             return job
         return job + (self.telemetry_dir, time.monotonic())
@@ -1624,15 +1532,14 @@ class CampaignRunner:
                 yield event[1]
                 continue
             _, job, scope = event
-            index, half_mode, spec = job[0], job[1], job[2]
-            mode = half_mode if half_mode is not _JOB_SINGLE else spec.mode
+            index, spec = job[0], job[1]
             limit = (
                 self.budget.campaign_budget_s
                 if scope == SCOPE_CAMPAIGN
                 else self.budget.spec_timeout_s
             )
-            yield index, half_mode, TimeoutRecord.for_spec(
-                spec, mode, scope, limit
+            yield index, TimeoutRecord.for_spec(
+                spec, spec.mode, scope, limit
             )
 
     def run(

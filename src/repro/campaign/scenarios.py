@@ -417,10 +417,11 @@ def build_scenario(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
 def default_campaign(burst: bool = True) -> List[ScenarioSpec]:
     """The stock sweep: every registered workload, several depths/seeds.
 
-    ``burst=True`` (the default since every workload honours the span
-    helpers) runs the specs with burst FIFO transfers — bit-exact with the
-    word-by-word schedule, so fingerprints are unchanged; pass
-    ``burst=False`` (CLI: ``--no-burst``) for the historical word loops.
+    ``burst=True`` (the default) lets the workload helpers move Smart FIFO
+    payloads as spans — bit-exact with the word-by-word schedule, so
+    fingerprints are unchanged; ``burst=False`` (CLI: ``--no-burst``) makes
+    the same helpers run their word loop, the oracle the span path is
+    checked against.
 
     19 specs; the 15 pairable ones double as the Section IV-A equivalence
     battery (reference vs Smart trace diff) — including the NoC router

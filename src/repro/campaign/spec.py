@@ -56,9 +56,10 @@ spec supports that: quantum/untimed runs change the timing *by design*, and
 the arbiter-contention scenario has no reference twin (arbitration delays
 are a property of the decoupled schedule — its oracle is
 :meth:`~repro.workloads.contention.ArbiterContentionScenario.verify`).
-:func:`spec_is_pairable` encodes the rule.  Since PR 3 the two runs of a
-pair are scheduled as independent worker jobs and recombined at
-aggregation (see :func:`repro.campaign.runner.combine_pair`).
+:func:`spec_is_pairable` encodes the rule.  The two runs of a pair are
+independent worker jobs, each an :func:`~repro.campaign.runner.execute_spec`
+of ``spec.with_mode(mode)``, recombined at aggregation by
+:func:`~repro.campaign.runner.combine_pair`.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from collections import deque
 from typing import List, Optional
 
@@ -44,7 +43,6 @@ from .event import Event, EventList, _TimedRecord
 from .process import MethodProcess, Process, ThreadProcess
 from .simtime import SimTime
 from .stats import KernelStats
-from ..telemetry import NULL_TELEMETRY
 
 #: Sentinel meaning "the method body did not call next_trigger".
 _NO_TRIGGER_REQUEST = object()
@@ -100,11 +98,6 @@ class Scheduler:
         self._started = False
         self._stop_requested = False
         self._end_of_simulation = False
-
-        #: Telemetry sideband; :meth:`run` checks ``enabled`` once and
-        #: dispatches to the instrumented loop variant, so the disabled
-        #: hot loop is byte-identical to the pre-telemetry one.
-        self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
     # Registration
@@ -327,11 +320,6 @@ class Scheduler:
         until_fs = None if until is None else until.femtoseconds
         if not self._started:
             self._initialize()
-        if self.telemetry.enabled:
-            # One check per run(), not per iteration: the telemetry-off
-            # loop below stays exactly the pre-telemetry hot path.
-            self._run_instrumented(until_fs)
-            return
         runnable = self._runnable
         while True:
             if self._stop_requested:
@@ -348,39 +336,6 @@ class Scheduler:
                 continue
             if not self._advance_time(until_fs):
                 break
-
-    def _run_instrumented(self, until_fs: Optional[int]) -> None:
-        """The telemetry-on loop: same phase order as :meth:`run`, with
-        wall time split between the delta work (evaluation/update/delta
-        notification) and the timed-advance work — the two counters
-        (``kernel.delta_loop_s`` / ``kernel.timed_loop_s``) the sideband
-        reports per simulation."""
-        perf = time.perf_counter
-        delta_s = 0.0
-        timed_s = 0.0
-        runnable = self._runnable
-        while True:
-            if self._stop_requested:
-                self._stop_requested = False
-                break
-            if runnable:
-                t0 = perf()
-                self._run_delta_cycle()
-                delta_s += perf() - t0
-                continue
-            if self._delta_events or self._delta_process_wakes:
-                t0 = perf()
-                self._delta_notification_phase()
-                delta_s += perf() - t0
-                continue
-            t0 = perf()
-            advanced = self._advance_time(until_fs)
-            timed_s += perf() - t0
-            if not advanced:
-                break
-        telemetry = self.telemetry
-        telemetry.counter("kernel.delta_loop_s", delta_s)
-        telemetry.counter("kernel.timed_loop_s", timed_s)
 
     def _run_delta_cycle(self) -> None:
         stats = self.stats

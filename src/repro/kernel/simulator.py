@@ -212,9 +212,6 @@ class Simulator:
                 self.elaborate()
             context.set_current_simulator(self)
             limit = None if until is None else as_time(until, unit)
-            # Hand the scheduler the telemetry so its loop variant can
-            # split wall time between delta and timed phases.
-            self.scheduler.telemetry = telemetry
             with telemetry.span("kernel.schedule"):
                 self.scheduler.run(limit)
         after = self.stats.snapshot()

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, List, Optional, Sequence, Union
 
+from ..fifo.arbiter import ReadArbiter, WriteArbiter
 from ..fifo.smart_fifo import SmartFifo
 from ..kernel.module import Module
 from ..kernel.process import Timeout
@@ -33,9 +34,12 @@ from ..td.decoupling import DecoupledMixin
 MessageFn = Callable[[int, Any], Optional[str]]
 
 
-def _to_fs(gap_ns) -> int:
-    """Integer femtoseconds for one nanosecond gap (mirrors ``advance``:
-    non-integer products are rounded, exactly like the word path does)."""
+def _gaps_fs(gap_ns):
+    """Integer femtoseconds of one nanosecond gap, or of a list of per-word
+    gaps (mirrors ``advance``: non-integer products are rounded, exactly
+    like the word loop does)."""
+    if isinstance(gap_ns, (list, tuple)):
+        return [_gaps_fs(gap) for gap in gap_ns]
     gap_fs = gap_ns * TimeUnit.NS
     if type(gap_fs) is not int:
         gap_fs = round(gap_fs)
@@ -70,7 +74,8 @@ class WorkloadModule(DecoupledMixin, Module):
     ``yield from self.advance(duration)`` wherever the real hardware would
     spend time.  The constructor-selected :class:`TimingMode` decides
     whether that advances nothing, the kernel time (``wait``) or the local
-    time (``inc``).
+    time (``inc``).  ``burst`` lets :meth:`burst_write`/:meth:`burst_read`
+    move words as spans where the FIFO allows it; it never changes a date.
     """
 
     def __init__(
@@ -78,9 +83,11 @@ class WorkloadModule(DecoupledMixin, Module):
         parent: Union[Simulator, Module],
         name: str,
         timing: TimingMode = TimingMode.TIMED_WAIT,
+        burst: bool = False,
     ):
         super().__init__(parent, name)
         self.timing = timing
+        self.burst = burst
         #: Local date at which the module finished its job (None until done).
         self.finish_time: Optional[SimTime] = None
         #: Number of payload items this module processed.
@@ -142,44 +149,54 @@ class WorkloadModule(DecoupledMixin, Module):
     # ------------------------------------------------------------------
     # Burst (span) helpers
     # ------------------------------------------------------------------
+    def _takes_spans(self, fifo) -> bool:
+        """The one span-or-word decision of the burst helpers: spans only
+        with ``burst`` set, in ``DECOUPLED`` mode, on a Smart FIFO or a
+        side arbiter in front of one."""
+        if not self.burst or self.timing is not TimingMode.DECOUPLED:
+            return False
+        if isinstance(fifo, (WriteArbiter, ReadArbiter)):
+            fifo = fifo.fifo
+        return isinstance(fifo, SmartFifo)
+
+    def _emit_span_messages(self, words: Sequence[Any], dates: List[int],
+                            message_fn: MessageFn) -> None:
+        """One batched trace emission for the checkpoints of a span."""
+        pairs = []
+        for index, word in enumerate(words):
+            message = message_fn(index, word)
+            if message is not None:
+                pairs.append((dates[index], message))
+        if pairs:
+            sim = self.sim
+            sim.trace.emit_many(sim.current_process_name(), sim.now_fs, pairs)
+
     def burst_write(self, fifo, words: Sequence[Any], gap_ns,
                     message_fn: Optional[MessageFn] = None):
         """Move ``words`` into ``fifo`` with ``gap_ns`` of time after each
         word (one int, or one int per word); generator.
 
-        In ``DECOUPLED`` mode on a Smart FIFO this uses the native span API
-        plus one batched trace emission per burst; every other timing mode
-        (and FIFO kind) runs the exact word loop, so the reference half of
-        a pair is untouched and word-vs-burst runs stay bit-exact.  Each
-        non-None ``message_fn(index, word)`` result becomes a checkpoint
-        stamped at that word's insertion date in both paths.
+        This is the one place that picks span or word: with ``burst`` set,
+        in ``DECOUPLED`` mode, on a Smart FIFO (or an arbiter in front of
+        one) it uses the native span API plus one batched trace emission
+        per burst; in every other case it runs the exact word loop, so the
+        reference half of a pair is untouched and word-vs-burst runs stay
+        bit-exact.  Each non-None ``message_fn(index, word)`` result
+        becomes a checkpoint stamped at that word's insertion date in both
+        paths.
         """
         n = len(words)
         if n == 0:
             return
-        per_word = isinstance(gap_ns, (list, tuple))
-        if self.timing is TimingMode.DECOUPLED and isinstance(fifo, SmartFifo):
-            sim = self.sim
-            trace = sim.trace
-            want_messages = message_fn is not None and trace.enabled
+        if self._takes_spans(fifo):
+            want_messages = message_fn is not None and self.sim.trace.enabled
             dates: Optional[List[int]] = [] if want_messages else None
-            if per_word:
-                gap_fs = [_to_fs(gap) for gap in gap_ns]
-            else:
-                gap_fs = _to_fs(gap_ns)
-            yield from fifo.write_burst(words, gap_fs, dates)
+            yield from fifo.write_burst(words, _gaps_fs(gap_ns), dates)
             self.items_processed += n
             if want_messages:
-                pairs = []
-                for index in range(n):
-                    message = message_fn(index, words[index])
-                    if message is not None:
-                        pairs.append((dates[index], message))
-                if pairs:
-                    trace.emit_many(sim.current_process_name(), sim.now_fs,
-                                    pairs)
+                self._emit_span_messages(words, dates, message_fn)
             return
-        gaps = gap_ns if per_word else None
+        gaps = gap_ns if isinstance(gap_ns, (list, tuple)) else None
         for index in range(n):
             word = words[index]
             yield from fifo.write(word)
@@ -203,33 +220,19 @@ class WorkloadModule(DecoupledMixin, Module):
         """
         if count <= 0:
             return []
-        per_word = isinstance(gap_ns, (list, tuple))
-        if self.timing is TimingMode.DECOUPLED and isinstance(fifo, SmartFifo):
-            sim = self.sim
-            trace = sim.trace
-            want_messages = message_fn is not None and trace.enabled
+        if self._takes_spans(fifo):
+            want_messages = message_fn is not None and self.sim.trace.enabled
             dates: Optional[List[int]] = (
                 [] if want_messages or dates_out is not None else None
             )
-            if per_word:
-                gap_fs = [_to_fs(gap) for gap in gap_ns]
-            else:
-                gap_fs = _to_fs(gap_ns)
-            words = yield from fifo.read_burst(count, gap_fs, dates)
+            words = yield from fifo.read_burst(count, _gaps_fs(gap_ns), dates)
             self.items_processed += count
             if want_messages:
-                pairs = []
-                for index in range(count):
-                    message = message_fn(index, words[index])
-                    if message is not None:
-                        pairs.append((dates[index], message))
-                if pairs:
-                    trace.emit_many(sim.current_process_name(), sim.now_fs,
-                                    pairs)
+                self._emit_span_messages(words, dates, message_fn)
             if dates_out is not None:
                 dates_out.extend(dates)
             return words
-        gaps = gap_ns if per_word else None
+        gaps = gap_ns if isinstance(gap_ns, (list, tuple)) else None
         words = []
         for index in range(count):
             word = yield from fifo.read()

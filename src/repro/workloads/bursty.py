@@ -84,42 +84,26 @@ class BurstyProducer(WorkloadModule):
     """Writes seeded bursts of consecutive values with long idle gaps."""
 
     def __init__(self, parent, name, fifo, config: BurstyConfig, timing: TimingMode, burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.fifo = fifo
         self.config = config
-        self.burst = burst
         self.rng = random.Random(config.seed * 9973 + 7)
         self.create_thread(self.run)
 
     def run(self):
         cfg = self.config
         value = 0
-        if self.burst:
-            for burst in cfg.burst_sizes():
-                if cfg.slow_spin_ms:
-                    _spin_wall_clock(cfg.slow_spin_ms)
-                words = list(range(value, value + burst))
-                value += burst
-                yield from self.burst_write(
-                    self.fifo,
-                    words,
-                    cfg.word_time_ns,
-                    message_fn=lambda _index, word: f"burst wr {word}",
-                )
-                idle = self.rng.randint(cfg.min_idle_ns, cfg.max_idle_ns)
-                yield from self.advance(idle)
-            self.mark_finished()
-            self.checkpoint("producer done")
-            return
         for burst in cfg.burst_sizes():
             if cfg.slow_spin_ms:
                 _spin_wall_clock(cfg.slow_spin_ms)
-            for _ in range(burst):
-                yield from self.fifo.write(value)
-                self.items_processed += 1
-                self.checkpoint(f"burst wr {value}")
-                value += 1
-                yield from self.advance(cfg.word_time_ns)
+            words = list(range(value, value + burst))
+            value += burst
+            yield from self.burst_write(
+                self.fifo,
+                words,
+                cfg.word_time_ns,
+                message_fn=lambda _index, word: f"burst wr {word}",
+            )
             idle = self.rng.randint(cfg.min_idle_ns, cfg.max_idle_ns)
             yield from self.advance(idle)
         self.mark_finished()
@@ -142,32 +126,21 @@ class BurstyConsumer(WorkloadModule):
     """Drains the FIFO at a steady per-item rate, checking the order."""
 
     def __init__(self, parent, name, fifo, config: BurstyConfig, timing: TimingMode, burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.fifo = fifo
         self.config = config
-        self.burst = burst
         self.values: List[int] = []
         self.create_thread(self.run)
 
     def run(self):
         cfg = self.config
-        if self.burst:
-            words = yield from self.burst_read(
-                self.fifo,
-                cfg.total_items,
-                cfg.consumer_time_ns,
-                message_fn=lambda _index, word: f"burst rd {word}",
-            )
-            self.values.extend(words)
-            self.mark_finished()
-            self.checkpoint("consumer done")
-            return
-        for _ in range(cfg.total_items):
-            value = yield from self.fifo.read()
-            self.values.append(value)
-            self.items_processed += 1
-            self.checkpoint(f"burst rd {value}")
-            yield from self.advance(cfg.consumer_time_ns)
+        words = yield from self.burst_read(
+            self.fifo,
+            cfg.total_items,
+            cfg.consumer_time_ns,
+            message_fn=lambda _index, word: f"burst rd {word}",
+        )
+        self.values.extend(words)
         self.mark_finished()
         self.checkpoint("consumer done")
 

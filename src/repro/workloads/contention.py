@@ -36,7 +36,7 @@ from ..fifo.arbiter import ReadArbiter, WriteArbiter
 from ..fifo.smart_fifo import SmartFifo
 from ..kernel.simtime import ns
 from ..kernel.simulator import Simulator
-from .base import TimingMode, WorkloadModule, _to_fs
+from .base import TimingMode, WorkloadModule
 
 
 @dataclass
@@ -79,37 +79,20 @@ class ContentionWriter(WorkloadModule):
 
     def __init__(self, parent, name, arbiter, writer_id: int,
                  config: ContentionConfig, burst: bool = False):
-        super().__init__(parent, name, TimingMode.DECOUPLED)
+        super().__init__(parent, name, TimingMode.DECOUPLED, burst)
         self.arbiter = arbiter
         self.writer_id = writer_id
         self.config = config
-        self.burst = burst
         self.rng = random.Random(config.seed * 31337 + writer_id)
         self.create_thread(self.run)
 
     def run(self):
         cfg = self.config
-        if self.burst:
-            # Arbiters are not Smart FIFOs, so the base burst helpers do not
-            # apply; call the arbiter's flattened burst directly.  The gaps
-            # are pre-drawn in the same order the word loop draws them (the
-            # rng serves nothing else), so the schedule is bit-identical.
-            n = cfg.items_per_writer
-            words = [(self.writer_id, seq) for seq in range(n)]
-            gaps_fs = [
-                _to_fs(self.rng.randint(1, cfg.max_writer_gap_ns))
-                for _ in range(n)
-            ]
-            yield from self.arbiter.write_burst(words, gaps_fs)
-            self.items_processed += n
-            self.mark_finished()
-            return
-        for seq in range(cfg.items_per_writer):
-            yield from self.arbiter.write((self.writer_id, seq))
-            self.items_processed += 1
-            yield from self.advance(
-                self.rng.randint(1, cfg.max_writer_gap_ns)
-            )
+        n = cfg.items_per_writer
+        # Gaps drawn upfront in word order (the rng serves nothing else).
+        gaps = [self.rng.randint(1, cfg.max_writer_gap_ns) for _ in range(n)]
+        words = [(self.writer_id, seq) for seq in range(n)]
+        yield from self.burst_write(self.arbiter, words, gaps)
         self.mark_finished()
 
 
@@ -119,36 +102,22 @@ class ContentionReader(WorkloadModule):
     def __init__(self, parent, name, arbiter, count: int,
                  reader_id: int, config: ContentionConfig,
                  burst: bool = False):
-        super().__init__(parent, name, TimingMode.DECOUPLED)
+        super().__init__(parent, name, TimingMode.DECOUPLED, burst)
         self.arbiter = arbiter
         self.count = count
         self.config = config
-        self.burst = burst
         self.rng = random.Random(config.seed * 27644437 + reader_id)
         self.tokens: List[Tuple[int, int]] = []
         self.create_thread(self.run)
 
     def run(self):
         cfg = self.config
-        if self.burst:
-            # See ContentionWriter.run: direct arbiter burst, gaps pre-drawn
-            # in word-loop order.
-            gaps_fs = [
-                _to_fs(self.rng.randint(1, cfg.max_reader_gap_ns))
-                for _ in range(self.count)
-            ]
-            tokens = yield from self.arbiter.read_burst(self.count, gaps_fs)
-            self.tokens.extend(tokens)
-            self.items_processed += self.count
-            self.mark_finished()
-            return
-        for _ in range(self.count):
-            token = yield from self.arbiter.read()
-            self.tokens.append(token)
-            self.items_processed += 1
-            yield from self.advance(
-                self.rng.randint(1, cfg.max_reader_gap_ns)
-            )
+        gaps = [
+            self.rng.randint(1, cfg.max_reader_gap_ns)
+            for _ in range(self.count)
+        ]
+        tokens = yield from self.burst_read(self.arbiter, self.count, gaps)
+        self.tokens.extend(tokens)
         self.mark_finished()
 
 
@@ -159,7 +128,6 @@ class ArbiterContentionScenario:
                  burst: bool = False):
         self.sim = sim
         self.config = config or ContentionConfig()
-        self.burst = burst
         cfg = self.config
         self.fifo = SmartFifo(sim, "fifo", depth=cfg.fifo_depth)
         # record_grants: this scenario IS the grant-date oracle, so it keeps

@@ -51,29 +51,19 @@ class FaultProducer(WorkloadModule):
 
     def __init__(self, parent, name, fifo, config: FaultDropConfig, timing: TimingMode,
                  burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.fifo = fifo
         self.config = config
-        self.burst = burst
         self.create_thread(self.run)
 
     def run(self):
         cfg = self.config
-        if self.burst:
-            yield from self.burst_write(
-                self.fifo,
-                list(range(cfg.item_count)),
-                cfg.producer_period_ns,
-                message_fn=lambda index, _word: f"sent {index}",
-            )
-            self.mark_finished()
-            self.checkpoint("producer done")
-            return
-        for index in range(cfg.item_count):
-            yield from self.fifo.write(index)
-            self.items_processed += 1
-            self.checkpoint(f"sent {index}")
-            yield from self.advance(cfg.producer_period_ns)
+        yield from self.burst_write(
+            self.fifo,
+            list(range(cfg.item_count)),
+            cfg.producer_period_ns,
+            message_fn=lambda index, _word: f"sent {index}",
+        )
         self.mark_finished()
         self.checkpoint("producer done")
 
@@ -120,32 +110,21 @@ class FaultConsumer(WorkloadModule):
 
     def __init__(self, parent, name, fifo, expected: int, config: FaultDropConfig, timing: TimingMode,
                  burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.fifo = fifo
         self.expected = expected
         self.config = config
-        self.burst = burst
         self.values: List[int] = []
         self.create_thread(self.run)
 
     def run(self):
-        if self.burst:
-            words = yield from self.burst_read(
-                self.fifo,
-                self.expected,
-                self.config.consumer_period_ns,
-                message_fn=lambda _index, word: f"received {word}",
-            )
-            self.values.extend(words)
-            self.mark_finished()
-            self.checkpoint("consumer done")
-            return
-        for _ in range(self.expected):
-            value = yield from self.fifo.read()
-            self.values.append(value)
-            self.items_processed += 1
-            self.checkpoint(f"received {value}")
-            yield from self.advance(self.config.consumer_period_ns)
+        words = yield from self.burst_read(
+            self.fifo,
+            self.expected,
+            self.config.consumer_period_ns,
+            message_fn=lambda _index, word: f"received {word}",
+        )
+        self.values.extend(words)
         self.mark_finished()
         self.checkpoint("consumer done")
 
@@ -176,8 +155,8 @@ class FaultDropScenario:
         self.producer = FaultProducer(
             sim, "producer", self.fifo_in, self.config, timing, burst=burst
         )
-        # The relay drops a value mid-stream, so it keeps the word loop in
-        # both paths: bursts are for the uninterrupted endpoint transfers.
+        # The relay drops a value mid-stream, so it moves one word at a
+        # time: bursts are for the uninterrupted endpoint transfers.
         self.relay = FaultyRelay(
             sim, "relay", self.fifo_in, self.fifo_out, self.config, timing,
             faulty=decoupled,

@@ -74,37 +74,23 @@ class FrontProducer(WorkloadModule):
 
     def __init__(self, parent, name, fifo, config: MixedTopologyConfig,
                  timing: TimingMode, burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.fifo = fifo
         self.config = config
-        self.burst = burst
         self.create_thread(self.run)
 
     def run(self):
         cfg = self.config
-        # One rng draw per word in both paths, in the same order, so the
-        # burst run feeds the identical gap sequence.
+        # One rng draw per word, drawn upfront in word order.
         rng = random.Random(cfg.seed * 54013 + 1)
-        if self.burst:
-            values = cfg.values()
-            gaps = [
-                rng.randint(1, cfg.max_producer_gap_ns) for _ in values
-            ]
-            yield from self.burst_write(
-                self.fifo,
-                values,
-                gaps,
-                message_fn=lambda index, _word: f"fed {index}",
-            )
-            self.mark_finished()
-            return
-        for index, value in enumerate(cfg.values()):
-            yield from self.fifo.write(value)
-            self.items_processed += 1
-            self.checkpoint(f"fed {index}")
-            yield from self.advance(
-                rng.randint(1, cfg.max_producer_gap_ns)
-            )
+        values = cfg.values()
+        gaps = [rng.randint(1, cfg.max_producer_gap_ns) for _ in values]
+        yield from self.burst_write(
+            self.fifo,
+            values,
+            gaps,
+            message_fn=lambda index, _word: f"fed {index}",
+        )
         self.mark_finished()
 
 

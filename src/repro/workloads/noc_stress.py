@@ -117,41 +117,29 @@ class StreamProducer(WorkloadModule):
 
     def __init__(self, parent, name, fifo, words, stream: int,
                  config: NocStressConfig, burst: bool = False):
-        super().__init__(parent, name, TimingMode.DECOUPLED)
+        super().__init__(parent, name, TimingMode.DECOUPLED, burst)
         self.fifo = fifo
         self.words = list(words)
         self.config = config
-        self.burst = burst
         self.rng = random.Random(config.seed * 15485863 + stream)
         self.create_thread(self.run)
 
     def run(self):
         size = self.config.packet_size
-        if self.burst:
-            # Same RNG order as the word loop: one randint after each write.
-            gaps = [
-                self.rng.randint(1, self.config.max_producer_gap_ns)
-                for _ in self.words
-            ]
+        # Drawn upfront in word order: one randint after each write.
+        gaps = [
+            self.rng.randint(1, self.config.max_producer_gap_ns)
+            for _ in self.words
+        ]
 
-            def message(index, _word):
-                if (index + 1) % size == 0:
-                    return f"packet {(index + 1) // size - 1} fed"
-                return None
-
-            yield from self.burst_write(
-                self.fifo, self.words, gaps, message_fn=message
-            )
-            self.mark_finished()
-            return
-        for index, word in enumerate(self.words):
-            yield from self.fifo.write(word)
-            self.items_processed += 1
+        def message(index, _word):
             if (index + 1) % size == 0:
-                self.checkpoint(f"packet {(index + 1) // size - 1} fed")
-            yield from self.advance(
-                self.rng.randint(1, self.config.max_producer_gap_ns)
-            )
+                return f"packet {(index + 1) // size - 1} fed"
+            return None
+
+        yield from self.burst_write(
+            self.fifo, self.words, gaps, message_fn=message
+        )
         self.mark_finished()
 
 
@@ -160,49 +148,33 @@ class StreamConsumer(WorkloadModule):
 
     def __init__(self, parent, name, fifo, count: int, stream: int,
                  config: NocStressConfig, burst: bool = False):
-        super().__init__(parent, name, TimingMode.DECOUPLED)
+        super().__init__(parent, name, TimingMode.DECOUPLED, burst)
         self.fifo = fifo
         self.count = count
         self.config = config
-        self.burst = burst
         self.rng = random.Random(config.seed * 49979687 + stream)
         self.values: List[int] = []
         self.create_thread(self.run)
 
     def run(self):
         size = self.config.packet_size
-        if self.burst:
-            gaps = [
-                self.rng.randint(1, self.config.max_consumer_gap_ns)
-                for _ in range(self.count)
-            ]
+        gaps = [
+            self.rng.randint(1, self.config.max_consumer_gap_ns)
+            for _ in range(self.count)
+        ]
 
-            def message(index, word):
-                if (index + 1) % size == 0:
-                    return (
-                        f"packet {(index + 1) // size - 1} drained "
-                        f"(word {word})"
-                    )
-                return None
-
-            words = yield from self.burst_read(
-                self.fifo, self.count, gaps, message_fn=message
-            )
-            self.values.extend(words)
-            self.mark_finished()
-            return
-        for index in range(self.count):
-            value = yield from self.fifo.read()
-            self.values.append(value)
-            self.items_processed += 1
+        def message(index, word):
             if (index + 1) % size == 0:
-                self.checkpoint(
+                return (
                     f"packet {(index + 1) // size - 1} drained "
-                    f"(word {value})"
+                    f"(word {word})"
                 )
-            yield from self.advance(
-                self.rng.randint(1, self.config.max_consumer_gap_ns)
-            )
+            return None
+
+        words = yield from self.burst_read(
+            self.fifo, self.count, gaps, message_fn=message
+        )
+        self.values.extend(words)
         self.mark_finished()
 
 
@@ -214,7 +186,6 @@ class NocStressScenario:
         self.sim = sim
         self.config = config or NocStressConfig()
         self.sync_on_access = sync_on_access
-        self.burst = burst
         cfg = self.config
 
         self.mesh = Mesh(

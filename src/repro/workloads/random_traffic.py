@@ -46,38 +46,26 @@ class RandomProducer(WorkloadModule):
     """Writes ``item_count`` values with seeded random gaps."""
 
     def __init__(self, parent, name, fifo, config: RandomTrafficConfig, timing: TimingMode, burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.fifo = fifo
         self.config = config
-        self.burst = burst
         self.rng = random.Random(config.seed * 7919 + 1)
         self.create_thread(self.run)
 
     def run(self):
-        if self.burst:
-            count = self.config.item_count
-            # Draw every delay upfront, in the same RNG order as the word
-            # loop (one randint after each write), so both modes replay
-            # exactly the same traffic.
-            delays = [
-                self.rng.randint(0, self.config.max_producer_delay_ns)
-                for _ in range(count)
-            ]
-            yield from self.burst_write(
-                self.fifo,
-                list(range(count)),
-                delays,
-                message_fn=lambda index, _word: f"produced {index}",
-            )
-            self.mark_finished()
-            self.checkpoint("producer done")
-            return
-        for index in range(self.config.item_count):
-            yield from self.fifo.write(index)
-            self.items_processed += 1
-            self.checkpoint(f"produced {index}")
-            delay = self.rng.randint(0, self.config.max_producer_delay_ns)
-            yield from self.advance(delay)
+        count = self.config.item_count
+        # Every delay is drawn upfront; the rng serves nothing else, so the
+        # sequence equals one randint after each write.
+        delays = [
+            self.rng.randint(0, self.config.max_producer_delay_ns)
+            for _ in range(count)
+        ]
+        yield from self.burst_write(
+            self.fifo,
+            list(range(count)),
+            delays,
+            message_fn=lambda index, _word: f"produced {index}",
+        )
         self.mark_finished()
         self.checkpoint("producer done")
 
@@ -86,38 +74,26 @@ class RandomConsumer(WorkloadModule):
     """Reads ``item_count`` values with seeded random gaps."""
 
     def __init__(self, parent, name, fifo, config: RandomTrafficConfig, timing: TimingMode, burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.fifo = fifo
         self.config = config
-        self.burst = burst
         self.rng = random.Random(config.seed * 104729 + 2)
         self.values: List[int] = []
         self.create_thread(self.run)
 
     def run(self):
-        if self.burst:
-            count = self.config.item_count
-            delays = [
-                self.rng.randint(0, self.config.max_consumer_delay_ns)
-                for _ in range(count)
-            ]
-            words = yield from self.burst_read(
-                self.fifo,
-                count,
-                delays,
-                message_fn=lambda _index, word: f"consumed {word}",
-            )
-            self.values.extend(words)
-            self.mark_finished()
-            self.checkpoint("consumer done")
-            return
-        for _ in range(self.config.item_count):
-            value = yield from self.fifo.read()
-            self.values.append(value)
-            self.items_processed += 1
-            self.checkpoint(f"consumed {value}")
-            delay = self.rng.randint(0, self.config.max_consumer_delay_ns)
-            yield from self.advance(delay)
+        count = self.config.item_count
+        delays = [
+            self.rng.randint(0, self.config.max_consumer_delay_ns)
+            for _ in range(count)
+        ]
+        words = yield from self.burst_read(
+            self.fifo,
+            count,
+            delays,
+            message_fn=lambda _index, word: f"consumed {word}",
+        )
+        self.values.extend(words)
         self.mark_finished()
         self.checkpoint("consumer done")
 

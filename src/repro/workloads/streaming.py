@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from ..fifo.interfaces import FifoInterface
 from ..fifo.regular_fifo import RegularFifo
 from ..fifo.smart_fifo import SmartFifo
-from ..fifo.sync_fifo import SyncFifo
-from ..kernel.module import Module
 from ..kernel.simtime import SimTime, TimeUnit, ns
 from ..kernel.simulator import Simulator
 from .base import TimingMode, WorkloadModule
@@ -195,29 +193,19 @@ class Source(WorkloadModule):
     """Produces ``n_blocks`` blocks of ``words_per_block`` increasing words."""
 
     def __init__(self, parent, name, out_fifo, config: StreamingConfig, timing: TimingMode, burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.out_fifo = out_fifo
         self.config = config
-        self.burst = burst
         self.create_thread(self.run)
 
     def run(self):
         word_time_ns = self.config.source_word_time.to(TimeUnit.NS)
+        per_block = self.config.words_per_block
         value = 0
-        if self.burst:
-            per_block = self.config.words_per_block
-            for _block in range(self.config.n_blocks):
-                block = list(range(value, value + per_block))
-                value += per_block
-                yield from self.burst_write(self.out_fifo, block, word_time_ns)
-            self.mark_finished()
-            return
         for _block in range(self.config.n_blocks):
-            for _ in range(self.config.words_per_block):
-                yield from self.out_fifo.write(value)
-                self.items_processed += 1
-                value += 1
-                yield from self.advance(word_time_ns)
+            block = list(range(value, value + per_block))
+            value += per_block
+            yield from self.burst_write(self.out_fifo, block, word_time_ns)
         self.mark_finished()
 
 
@@ -249,30 +237,21 @@ class Sink(WorkloadModule):
     """Consumes every word, keeping a checksum for functional validation."""
 
     def __init__(self, parent, name, in_fifo, config: StreamingConfig, timing: TimingMode, burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.in_fifo = in_fifo
         self.config = config
-        self.burst = burst
         self.checksum = 0
         self.create_thread(self.run)
 
     def run(self):
         word_time_ns = self.config.sink_word_time.to(TimeUnit.NS)
-        if self.burst:
-            chunk = self.config.words_per_block
-            remaining = self.config.total_words
-            while remaining:
-                count = min(chunk, remaining)
-                words = yield from self.burst_read(self.in_fifo, count, word_time_ns)
-                self.checksum = (self.checksum + sum(words)) % (1 << 32)
-                remaining -= count
-            self.mark_finished()
-            return
-        for _ in range(self.config.total_words):
-            word = yield from self.in_fifo.read()
-            self.checksum = (self.checksum + word) % (1 << 32)
-            self.items_processed += 1
-            yield from self.advance(word_time_ns)
+        chunk = self.config.words_per_block
+        remaining = self.config.total_words
+        while remaining:
+            count = min(chunk, remaining)
+            words = yield from self.burst_read(self.in_fifo, count, word_time_ns)
+            self.checksum = (self.checksum + sum(words)) % (1 << 32)
+            remaining -= count
         self.mark_finished()
 
 

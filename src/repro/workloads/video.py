@@ -16,7 +16,7 @@ validation and a realistic example application.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from ..fifo.interfaces import FifoInterface
 from ..fifo.regular_fifo import RegularFifo
@@ -53,10 +53,9 @@ class BitstreamParser(WorkloadModule):
     """Produces macroblock tokens in bursts."""
 
     def __init__(self, parent, name, out_fifo, config: VideoConfig, timing: TimingMode, burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.out_fifo = out_fifo
         self.config = config
-        self.burst = burst
         self.create_thread(self.run)
 
     def run(self):
@@ -64,22 +63,11 @@ class BitstreamParser(WorkloadModule):
         item_ns = cfg.parser_item_time.to(TimeUnit.NS)
         refill_ns = cfg.parser_refill_time.to(TimeUnit.NS)
         emitted = 0
-        if self.burst:
-            while emitted < cfg.total_items:
-                burst = min(cfg.parser_burst, cfg.total_items - emitted)
-                tokens = list(range(emitted, emitted + burst))
-                emitted += burst
-                yield from self.burst_write(self.out_fifo, tokens, item_ns)
-                yield from self.advance(refill_ns)
-            self.mark_finished()
-            return
         while emitted < cfg.total_items:
             burst = min(cfg.parser_burst, cfg.total_items - emitted)
-            for _ in range(burst):
-                yield from self.out_fifo.write(emitted)
-                emitted += 1
-                self.items_processed += 1
-                yield from self.advance(item_ns)
+            tokens = list(range(emitted, emitted + burst))
+            emitted += burst
+            yield from self.burst_write(self.out_fifo, tokens, item_ns)
             yield from self.advance(refill_ns)
         self.mark_finished()
 
@@ -118,41 +106,26 @@ class Display(WorkloadModule):
     """Consumes macroblocks at a fixed rate; records per-item completion dates."""
 
     def __init__(self, parent, name, in_fifo, config: VideoConfig, timing: TimingMode, burst: bool = False):
-        super().__init__(parent, name, timing)
+        super().__init__(parent, name, timing, burst)
         self.in_fifo = in_fifo
         self.config = config
-        self.burst = burst
         self.completion_dates: List[SimTime] = []
         self.create_thread(self.run)
 
     def run(self):
         item_ns = self.config.display_item_time.to(TimeUnit.NS)
-        if self.burst:
-            per_frame = self.config.macroblocks_per_frame
-            remaining = self.config.total_items
-            while remaining:
-                count = min(per_frame, remaining)
-                dates: List[int] = []
-                yield from self.burst_read(
-                    self.in_fifo, count, item_ns, dates_out=dates
-                )
-                self.completion_dates.extend(
-                    SimTime.from_femtoseconds(date) for date in dates
-                )
-                remaining -= count
-            self.mark_finished()
-            return
-        for _ in range(self.config.total_items):
-            token = yield from self.in_fifo.read()
-            date = (
-                self.local_time_stamp()
-                if self.timing is TimingMode.DECOUPLED
-                else self.now
+        per_frame = self.config.macroblocks_per_frame
+        remaining = self.config.total_items
+        while remaining:
+            count = min(per_frame, remaining)
+            dates: List[int] = []
+            yield from self.burst_read(
+                self.in_fifo, count, item_ns, dates_out=dates
             )
-            self.completion_dates.append(date)
-            self.items_processed += 1
-            del token
-            yield from self.advance(item_ns)
+            self.completion_dates.extend(
+                SimTime.from_femtoseconds(date) for date in dates
+            )
+            remaining -= count
         self.mark_finished()
 
 
@@ -212,5 +185,3 @@ class VideoPipeline:
     def completion_time(self) -> Optional[SimTime]:
         return self.display.finish_time
 
-
-Union  # typing import kept for signature extensions

@@ -308,22 +308,31 @@ def test_regular_burst_equals_word_loop(seed, depth):
 # ---------------------------------------------------------------------------
 # Word-vs-burst digest sweep across the burst-capable campaign workloads
 # ---------------------------------------------------------------------------
-#: Every workload honouring ``ScenarioSpec.burst``, with both halves of a
-#: pair where the mode changes scheduling.  The whole deterministic row —
+#: Every workload honouring ``ScenarioSpec.burst``, in both modes of a pair
+#: (contention has no reference mode).  The whole deterministic row —
 #: trace digest included — must be byte-identical word-vs-burst.
 BURST_SWEEP_SPECS = [
     ScenarioSpec("wr", "writer_reader", mode="smart", depth=3),
+    ScenarioSpec("wr_ref", "writer_reader", mode="reference", depth=3),
     ScenarioSpec("str", "streaming", mode="smart", depth=4,
                  params={"n_blocks": 4, "words_per_block": 12}),
     ScenarioSpec("str_ref", "streaming", mode="reference", depth=4,
                  params={"n_blocks": 4, "words_per_block": 12}),
     ScenarioSpec("video", "video", mode="smart", depth=4,
                  params={"n_frames": 2, "macroblocks_per_frame": 8}),
+    ScenarioSpec("video_ref", "video", mode="reference", depth=4,
+                 params={"n_frames": 2, "macroblocks_per_frame": 8}),
     ScenarioSpec("bursty", "bursty", mode="smart", depth=4, seed=3,
+                 params={"n_bursts": 4, "max_burst": 5}),
+    ScenarioSpec("bursty_ref", "bursty", mode="reference", depth=4, seed=3,
                  params={"n_bursts": 4, "max_burst": 5}),
     ScenarioSpec("random", "random_traffic", mode="smart", depth=3, seed=7,
                  params={"item_count": 20, "monitor_samples": 4}),
+    ScenarioSpec("random_ref", "random_traffic", mode="reference", depth=3,
+                 seed=7, params={"item_count": 20, "monitor_samples": 4}),
     ScenarioSpec("noc", "noc_stress", mode="smart", depth=4,
+                 params={"packets_per_stream": 3, "packet_size": 2}),
+    ScenarioSpec("noc_ref", "noc_stress", mode="reference", depth=4,
                  params={"packets_per_stream": 3, "packet_size": 2}),
     ScenarioSpec("fault", "fault_drop", mode="smart", depth=4),
     ScenarioSpec("fault_ref", "fault_drop", mode="reference", depth=4),

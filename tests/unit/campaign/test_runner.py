@@ -7,7 +7,7 @@ import pytest
 from repro.campaign import (
     CampaignRunner,
     ScenarioSpec,
-    execute_pair,
+    combine_pair,
     execute_spec,
 )
 
@@ -50,9 +50,17 @@ class TestExecuteSpec:
             execute_spec(spec)
 
 
-class TestExecutePair:
+def _run_pair(spec):
+    """The reference and Smart runs of ``spec``, recombined."""
+    return combine_pair(
+        execute_spec(spec.with_mode("reference")),
+        execute_spec(spec.with_mode("smart")),
+    )
+
+
+class TestCombinePair:
     def test_pairable_spec_produces_empty_diff(self):
-        pair = execute_pair(SMALL_CAMPAIGN[1])
+        pair = _run_pair(SMALL_CAMPAIGN[1])
         assert pair.equivalent
         assert pair.extras_match
         assert pair.report == ""
@@ -106,42 +114,40 @@ class TestCampaignRunner:
 class TestSplitPairs:
     """The two halves of a pair are independent jobs, recombined exactly."""
 
-    def test_execute_half_matches_execute_spec(self):
-        from repro.campaign import execute_half
-
+    def test_campaign_pair_runs_match_execute_spec(self):
         spec = SMALL_CAMPAIGN[1]
-        for mode in ("reference", "smart"):
-            half = execute_half(spec, mode)
+        result = CampaignRunner(workers=1).run([spec])
+        (run,) = result.runs
+        assert run.deterministic_row() == execute_spec(spec).deterministic_row()
+        (pair,) = result.pairs
+        for mode, digest in (
+            ("reference", pair.reference_digest),
+            ("smart", pair.smart_digest),
+        ):
             direct = execute_spec(spec.with_mode(mode))
-            assert half.record.deterministic_row() == direct.deterministic_row()
-            assert half.mode == mode
-            # Only the digest travels: no trace lines ride along anymore.
-            assert len(half.record.trace_digest) == 64
-            assert not hasattr(half, "sorted_lines")
+            assert direct.mode == mode
+            # Only the digest travels: no trace lines ride along.
+            assert digest == direct.trace_digest and len(digest) == 64
 
-    def test_combine_pair_matches_legacy_pair(self):
-        from repro.campaign import combine_pair, execute_half
-
+    def test_combine_pair_matches_campaign_pair(self):
         spec = SMALL_CAMPAIGN[2]
-        ref = execute_half(spec, "reference")
-        smart = execute_half(spec, "smart")
-        combined = combine_pair(ref, smart)
-        legacy = execute_pair(spec)
-        assert combined.deterministic_row() == legacy.deterministic_row()
+        combined = _run_pair(spec)
+        (campaign_pair,) = CampaignRunner(workers=1).run([spec]).pairs
+        assert combined.deterministic_row() == campaign_pair.deterministic_row()
         assert combined.equivalent
 
     def test_combine_pair_reports_mismatches(self):
         from dataclasses import replace
 
-        from repro.campaign import combine_pair, execute_half
-
         spec = SMALL_CAMPAIGN[1]
-        ref = execute_half(spec, "reference")
-        smart = execute_half(spec, "smart")
-        smart.record = replace(
-            smart.record, trace_digest="0" * 64, trace_lines=smart.record.trace_lines - 1
+        ref = execute_spec(spec.with_mode("reference"))
+        smart = execute_spec(spec.with_mode("smart"))
+        smart = replace(
+            smart,
+            trace_digest="0" * 64,
+            trace_lines=smart.trace_lines - 1,
+            extra={"tampered": True},
         )
-        smart.extras = {"tampered": True}
         pair = combine_pair(ref, smart)
         assert not pair.equivalent
         assert not pair.extras_match
@@ -152,14 +158,14 @@ class TestSplitPairs:
         from repro.campaign import diff_pair_streaming
 
         # An equivalent pair diffs empty through the spool path too, and
-        # the digests match the digest-sink halves bit for bit.
-        from repro.campaign import execute_half
-
+        # the digests match the digest-sink runs bit for bit.
         spec = SMALL_CAMPAIGN[2]
         pair = diff_pair_streaming(spec)
         assert pair.equivalent
         assert pair.report == ""
-        assert pair.reference_digest == execute_half(spec, "reference").record.trace_digest
+        assert pair.reference_digest == execute_spec(
+            spec.with_mode("reference")
+        ).trace_digest
 
 
 class TestSharding:

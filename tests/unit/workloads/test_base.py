@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.fifo.arbiter import ReadArbiter, WriteArbiter
+from repro.fifo.regular_fifo import RegularFifo
+from repro.fifo.smart_fifo import SmartFifo
 from repro.kernel import Simulator
 from repro.kernel.simtime import TimeUnit
 from repro.td import GlobalQuantum
@@ -95,3 +98,94 @@ class TestQuantumKeeperLaziness:
         assert stepper._quantum_keeper is None
         keeper = stepper.quantum_keeper
         assert stepper.quantum_keeper is keeper
+
+
+class Mover(WorkloadModule):
+    """Writes ``words`` or drains ``count`` words through the burst
+    helpers, with per-word checkpoints and read dates."""
+
+    def __init__(self, parent, name, port, timing, burst, words=None,
+                 count=0):
+        super().__init__(parent, name, timing, burst)
+        self.port = port
+        self.words = words
+        self.count = count
+        self.received = []
+        self.dates = []
+        self.create_thread(self.run)
+
+    def run(self):
+        if self.words is not None:
+            yield from self.burst_write(
+                self.port, self.words, 3,
+                message_fn=lambda _index, word: f"wr {word}",
+            )
+        else:
+            self.received = yield from self.burst_read(
+                self.port, self.count, [5, 7] * (self.count // 2),
+                message_fn=lambda _index, word: f"rd {word}",
+                dates_out=self.dates,
+            )
+        self.mark_finished()
+
+
+def _spy_spans(monkeypatch, port, method, calls):
+    """Append ``method`` to ``calls`` whenever ``port.method`` (a span
+    entry point) is called."""
+    original = getattr(port, method)
+
+    def spy(*args, **kwargs):
+        calls.append(method)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(port, method, spy)
+
+
+def _move(sim, monkeypatch, kind, timing, burst):
+    """Run a 10-word writer/reader pair over a ``kind`` FIFO; return
+    ``(fifo, reader, span_calls)``."""
+    if kind == "regular":
+        fifo = RegularFifo(sim, "fifo", depth=4)
+    else:
+        fifo = SmartFifo(sim, "fifo", depth=4)
+    write_port, read_port = fifo, fifo
+    if kind == "arbiter":
+        write_port = WriteArbiter(sim, "write_arbiter", fifo)
+        read_port = ReadArbiter(sim, "read_arbiter", fifo)
+    calls = []
+    _spy_spans(monkeypatch, write_port, "write_burst", calls)
+    _spy_spans(monkeypatch, read_port, "read_burst", calls)
+    words = list(range(10))
+    Mover(sim, "writer", write_port, timing, burst, words=words)
+    reader = Mover(sim, "reader", read_port, timing, burst, count=len(words))
+    sim.run()
+    assert reader.received == words
+    assert reader.items_processed == len(words)
+    assert len(reader.dates) == len(words)
+    return fifo, reader, calls
+
+
+class TestBurstDispatch:
+    """``burst_write``/``burst_read`` are the one place that picks span or
+    word: spans only with ``burst`` set, in DECOUPLED mode, on a Smart FIFO
+    or an arbiter in front of one."""
+
+    @pytest.mark.parametrize("burst", (True, False))
+    @pytest.mark.parametrize("timing", (TimingMode.DECOUPLED, TimingMode.TIMED_WAIT))
+    @pytest.mark.parametrize("kind", ("smart", "arbiter", "regular"))
+    def test_span_path_only_when_all_conditions_hold(
+        self, monkeypatch, kind, timing, burst
+    ):
+        sim = Simulator("dispatch")
+        fifo, _reader, calls = _move(sim, monkeypatch, kind, timing, burst)
+        spans = burst and timing is TimingMode.DECOUPLED and kind != "regular"
+        assert sorted(calls) == (["read_burst", "write_burst"] if spans else [])
+        if kind == "smart":
+            # The FIFO's own span counters: every routed access went
+            # through write_burst/read_burst, none did in the word loop.
+            routed = (fifo.burst_span_writes + fifo.burst_word_writes,
+                      fifo.burst_span_reads + fifo.burst_word_reads)
+            if spans:
+                assert fifo.burst_span_writes > 0 and fifo.burst_span_reads > 0
+            else:
+                assert routed == (0, 0)

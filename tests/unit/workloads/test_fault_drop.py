@@ -5,8 +5,9 @@ import pytest
 from repro.campaign import (
     CampaignRunner,
     ScenarioSpec,
+    combine_pair,
     diff_pair_streaming,
-    execute_paired_spec,
+    execute_spec,
 )
 from repro.kernel import Simulator
 from repro.workloads.fault_drop import FaultDropConfig, FaultDropScenario
@@ -43,7 +44,10 @@ class TestPairedDetection:
     """Negative-path coverage: the methodology detects real divergence."""
 
     def test_pair_is_flagged_not_equivalent(self):
-        record, pair = execute_paired_spec(SPEC)
+        pair = combine_pair(
+            execute_spec(SPEC.with_mode("reference")),
+            execute_spec(SPEC.with_mode("smart")),
+        )
         assert not pair.equivalent
         assert not pair.extras_match
         assert pair.reference_digest != pair.smart_digest
