@@ -13,15 +13,16 @@ campaign-scale engine:
 * :mod:`repro.campaign.scenarios` — builders for every repository workload
   (writer/reader, streaming, video, random traffic, bursty, arbiter
   contention, SoC case study) plus :func:`default_campaign`;
-* :mod:`repro.campaign.runner` — the :class:`CampaignRunner`, which shards
-  specs across a :mod:`multiprocessing` pool (each worker owns a private
-  :class:`~repro.kernel.simulator.Simulator`), and the paired
+* :mod:`repro.campaign.runner` — the :class:`CampaignRunner`, which runs
+  specs inline or across one killable pool of long-lived worker processes
+  (every run builds a private :class:`~repro.kernel.simulator.Simulator`),
+  and the paired
   reference/Smart equivalence campaign built on
   :mod:`repro.analysis.trace_diff`;
 * :mod:`repro.campaign.orchestrator` — the distributed layer: the
   ``COSTS.json`` wall-time cost model, the cost-balanced
-  ``--shard-by-cost`` partitioner, wall-clock run budgets with
-  deterministic ``timeout`` rows, and the multi-host
+  ``--shard-by-cost`` partitioner, the worker pool with its wall-clock
+  run budgets and deterministic ``timeout`` rows, and the multi-host
   :class:`~repro.campaign.orchestrator.Orchestrator` driving local or
   ssh hosts through the same launch/poll/collect protocol.
 

@@ -10,8 +10,8 @@ a multi-host campaign engine, in four parts:
   cost-balanced partitioner behind ``--shard-by-cost i/N``;
 * :mod:`~repro.campaign.orchestrator.budget` — per-spec and per-campaign
   wall-clock limits (``--spec-timeout`` / ``--campaign-budget``), the
-  killable process-per-job executor and the deterministic ``timeout``
-  JSONL row;
+  killable worker pool that enforces them and the deterministic
+  ``timeout`` JSONL row;
 * :mod:`~repro.campaign.orchestrator.hosts` /
   :mod:`~repro.campaign.orchestrator.transport` — host descriptions and
   the pluggable launch/poll/collect protocol
@@ -28,7 +28,6 @@ from .budget import (
     SCOPE_SPEC,
     RunBudget,
     TimeoutRecord,
-    run_with_budget,
 )
 from .costs import HEURISTIC_WEIGHTS, CostModel
 from .hosts import HostSpec, local_hosts, parse_hosts_file
@@ -65,5 +64,4 @@ __all__ = [
     "make_transport",
     "makespan_spread",
     "parse_hosts_file",
-    "run_with_budget",
 ]

@@ -2,21 +2,20 @@
 
 The campaign's deterministic rows never carry wall-clock values, but the
 *scheduling* of a production campaign is all about wall clock: a stuck or
-pathologically slow spec must not hold a shard hostage.  This module
-provides the two pieces the :class:`~repro.campaign.runner.CampaignRunner`
-threads through its execution path when a budget is set:
+pathologically slow spec must not hold a shard hostage.  This module holds
+the campaign's worker pool and the limits it enforces:
 
 * :class:`RunBudget` — the declarative limits: a per-spec timeout (each
   worker job is killed once it has run that long) and a whole-campaign
   budget (when the campaign has run that long, every outstanding and
   queued job is abandoned).
-* :func:`run_with_budget` — a process-per-job executor that can actually
-  *kill* an overrunning job.  A :mod:`multiprocessing` pool cannot
-  terminate a single task without poisoning the pool, so budgeted
-  execution launches one (bounded-concurrency) child process per job,
-  each reporting back over its own pipe; an overrun is enforced with
-  ``Process.terminate``.  Because each job has a private pipe, killing
-  one job can never corrupt another job's result channel.
+* :func:`run_in_pool` — the pool that runs every job of a
+  :class:`~repro.campaign.runner.CampaignRunner` with more than one
+  worker or with a budget.  Its long-lived workers take one job at a time
+  over a private pipe, so the parent can kill the one worker whose job
+  overruns (or that a budget abandons) without touching another's result
+  channel, and notices a worker that dies mid-job instead of waiting for
+  it forever.
 * :class:`TimeoutRecord` — the deterministic outcome of a killed job.
   The row records the spec identity, the killed mode, the *configured*
   limit and the scope (``"spec"`` or ``"campaign"``) — never the elapsed
@@ -35,11 +34,14 @@ byte-identical rows to an unbudgeted one.
 
 from __future__ import annotations
 
+import math
+import multiprocessing
+import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..spec import ScenarioSpec
 
@@ -140,157 +142,176 @@ class TimeoutRecord:
 
 
 # ---------------------------------------------------------------------------
-# The budgeted executor
+# The worker pool
 # ---------------------------------------------------------------------------
-def _budget_worker(conn, func, job) -> None:
-    """Child-process body: run one job, ship the outcome over the pipe.
+def _worker_main(conn, func) -> None:
+    """Pool-process body: run jobs from the private pipe until told to stop.
 
-    Top-level so it is picklable under any start method.  Exceptions are
-    shipped back (falling back to a stringified ``RuntimeError`` when the
-    original exception does not pickle) so the parent re-raises them
-    exactly like a :mod:`multiprocessing` pool would.
+    Top-level so it is picklable under any start method.  A job's
+    exception is shipped back (stringified into a ``RuntimeError`` when it
+    does not pickle) for the parent to re-raise.
     """
-    try:
-        payload = ("ok", func(job))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
-        import pickle
-
+    while True:
         try:
-            pickle.dumps(exc)
+            job = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if job is None:
+            return
+        try:
+            payload = ("ok", func(job))
+        except Exception as exc:  # noqa: BLE001 - forwarded to the parent
+            try:
+                pickle.dumps(exc)
+            except Exception:  # noqa: BLE001 - any pickling failure
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
             payload = ("error", exc)
-        except Exception:
-            payload = ("error", RuntimeError(f"{type(exc).__name__}: {exc}"))
-    try:
         conn.send(payload)
-    finally:
-        conn.close()
 
 
-def _kill(proc) -> None:
-    """Terminate a child, escalating to SIGKILL if it ignores SIGTERM."""
-    proc.terminate()
-    proc.join(timeout=2.0)
-    if proc.is_alive():  # pragma: no cover - needs a SIGTERM-ignoring child
-        proc.kill()
-        proc.join()
+class _Worker:
+    """One long-lived pool process and the parent's end of its private pipe.
+
+    ``job`` is the job it is running (``None`` while idle) and
+    ``deadline`` the monotonic time at which a budget stops it.
+    """
+
+    def __init__(self, func) -> None:
+        self.conn, child_conn = multiprocessing.Pipe()
+        self.proc = multiprocessing.Process(
+            target=_worker_main, args=(child_conn, func), daemon=True
+        )
+        self.proc.start()
+        child_conn.close()
+        self.job = None
+        self.deadline = math.inf
+
+    def fileno(self) -> int:
+        """Lets :func:`multiprocessing.connection.wait` select on workers."""
+        return self.conn.fileno()
+
+    def result(self):
+        """Receive the running job's outcome; the worker is idle again.
+
+        Re-raises the job's exception, and raises :class:`RuntimeError`
+        naming the job when the worker died without reporting.
+        """
+        job, self.job = self.job, None
+        try:
+            status, payload = self.conn.recv()
+        except EOFError:
+            self.proc.join(timeout=2.0)
+            raise RuntimeError(
+                f"pool worker {self.proc.pid} died (exit code "
+                f"{self.proc.exitcode}) without reporting a result for "
+                f"job {job!r}"
+            ) from None
+        if status == "error":
+            raise payload
+        return payload
+
+    def close(self, kill: bool) -> None:
+        """Stop the worker: ask an idle one to exit, or ``kill`` it
+        (SIGTERM, escalating to SIGKILL if it ignores that)."""
+        if kill:
+            self.proc.terminate()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:  # already dead
+                pass
+        self.proc.join(timeout=2.0)
+        if self.proc.is_alive():  # pragma: no cover - ignores SIGTERM
+            self.proc.kill()
+            self.proc.join()
+        self.conn.close()
 
 
-def run_with_budget(
+def run_in_pool(
     func,
     jobs,
     *,
-    budget: RunBudget,
     processes: int,
-    mp_context,
-    poll_interval: float = 0.05,
-) -> Iterator[Tuple]:
-    """Run ``func(job)`` for every job in bounded, killable child processes.
+    budget: Optional[RunBudget],
+    on_timeout: Callable[[object, str, float], object],
+) -> Iterator:
+    """Yield ``func(job)`` for every job, in completion order, from a pool
+    of at most ``processes`` long-lived worker processes.
 
-    Yields events in completion order:
-
-    * ``("result", value)`` — the job finished; ``value`` is its return.
-    * ``("timeout", job, scope)`` — the job was killed (``scope="spec"``)
-      or abandoned before/while running because the whole-campaign budget
-      expired (``scope="campaign"``).
-
-    At most ``processes`` children run concurrently.  A child that raises
-    re-raises in the caller (after terminating the remaining children), a
-    child that dies without reporting raises :class:`RuntimeError`.  Each
-    job owns a private one-way pipe, so terminating one job cannot wedge
-    or corrupt the others' result channels.
+    Workers start as queued jobs need them and take one job at a time.
+    Each owns a private pipe, so killing one cannot corrupt another's
+    result channel.  With a ``budget``, the parent sleeps until the next
+    per-job or campaign deadline.  A job that overruns
+    ``budget.spec_timeout_s`` has its worker killed and yields
+    ``on_timeout(job, "spec", limit_s)`` in place of its result; a fresh
+    worker starts only if a queued job needs one.  Once
+    ``budget.campaign_budget_s`` expires, every running job (unless its
+    result is already in the pipe) and every queued job yields
+    ``on_timeout(job, "campaign", limit_s)``.  A job that raises
+    re-raises here; a worker that dies without reporting raises
+    :class:`RuntimeError` naming its job.  Every worker is stopped when
+    the generator finishes, raises or is abandoned.
     """
-    queue = deque(jobs)
-    #: conn -> (process, job, absolute spec deadline or None)
-    running: Dict[object, Tuple] = {}
-    start = time.monotonic()
-    campaign_deadline = (
-        start + budget.campaign_budget_s
-        if budget.campaign_budget_s is not None
-        else None
+    budget = budget or RunBudget()
+    spec_timeout = budget.spec_timeout_s or math.inf
+    campaign_deadline = time.monotonic() + (
+        budget.campaign_budget_s or math.inf
     )
+    queue = deque(jobs)
+    workers: List[_Worker] = []
+
+    def submit(worker: _Worker) -> None:
+        worker.job = queue.popleft()
+        worker.deadline = min(
+            time.monotonic() + spec_timeout, campaign_deadline
+        )
+        worker.conn.send(worker.job)
+
+    def collect(worker: _Worker):
+        # The next job goes out before the caller sees this result, so the
+        # worker never waits on the caller.
+        value = worker.result()
+        if queue and time.monotonic() < campaign_deadline:
+            submit(worker)
+        return value
+
     try:
-        while queue or running:
-            while queue and len(running) < processes:
-                job = queue.popleft()
-                parent_conn, child_conn = mp_context.Pipe(duplex=False)
-                proc = mp_context.Process(
-                    target=_budget_worker, args=(child_conn, func, job),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                deadline = (
-                    time.monotonic() + budget.spec_timeout_s
-                    if budget.spec_timeout_s is not None
-                    else None
-                )
-                running[parent_conn] = (proc, job, deadline)
-            # Sleep until a result arrives or the nearest deadline, capped
-            # at poll_interval so new slots are refilled promptly.
-            now = time.monotonic()
-            wait_s = poll_interval
-            deadlines = [d for (_, _, d) in running.values() if d is not None]
-            if campaign_deadline is not None:
-                deadlines.append(campaign_deadline)
-            if deadlines:
-                wait_s = min(wait_s, max(0.0, min(deadlines) - now))
-            for conn in _connection_wait(list(running), timeout=wait_s):
-                proc, job, _ = running.pop(conn)
-                try:
-                    status, payload = conn.recv()
-                except EOFError:
-                    status, payload = "error", RuntimeError(
-                        f"budgeted worker for job {job!r} died without "
-                        f"reporting a result"
-                    )
-                conn.close()
-                proc.join()
-                if status == "error":
-                    raise payload
-                yield ("result", payload)
-            now = time.monotonic()
-            if campaign_deadline is not None and now >= campaign_deadline:
-                for conn, (proc, job, _) in list(running.items()):
-                    # A job whose result is already in the pipe finished
-                    # within budget: honour it instead of mislabelling it
-                    # a timeout (the child is alive mid-write at worst,
-                    # so the recv completes).
-                    if conn.poll():
-                        try:
-                            status, payload = conn.recv()
-                        except EOFError:
-                            status = "gone"
-                        if status == "ok":
-                            conn.close()
-                            proc.join()
-                            yield ("result", payload)
-                            continue
-                        if status == "error":
-                            conn.close()
-                            proc.join()
-                            raise payload
-                    _kill(proc)
-                    conn.close()
-                    yield ("timeout", job, SCOPE_CAMPAIGN)
-                running.clear()
-                while queue:
-                    yield ("timeout", queue.popleft(), SCOPE_CAMPAIGN)
+        while True:
+            while queue and len(workers) < processes:
+                workers.append(_Worker(func))
+                submit(workers[-1])
+            busy = [worker for worker in workers if worker.job is not None]
+            if not busy:
                 return
-            for conn in list(running):
-                proc, job, deadline = running[conn]
-                if deadline is not None and now >= deadline:
-                    if conn.poll():
-                        # Finished at deadline-epsilon: the next
-                        # _connection_wait pass drains it as a result.
-                        continue
-                    _kill(proc)
-                    conn.close()
-                    del running[conn]
-                    yield ("timeout", job, SCOPE_SPEC)
+            # Every deadline is capped at the campaign deadline.
+            nearest = min(worker.deadline for worker in busy)
+            timeout = (
+                None if nearest == math.inf
+                else max(0.0, nearest - time.monotonic())
+            )
+            for worker in _connection_wait(busy, timeout):
+                yield collect(worker)
+            now = time.monotonic()
+            campaign_over = now >= campaign_deadline
+            if campaign_over:
+                scope, limit = SCOPE_CAMPAIGN, budget.campaign_budget_s
+            else:
+                scope, limit = SCOPE_SPEC, budget.spec_timeout_s
+            for worker in [w for w in workers if w.job is not None]:
+                if now < worker.deadline:
+                    continue
+                if worker.conn.poll():
+                    # Finished within its limit: honour the result
+                    # instead of mislabelling it a timeout.
+                    yield collect(worker)
+                    continue
+                workers.remove(worker)
+                worker.close(kill=True)
+                yield on_timeout(worker.job, scope, limit)
+            if campaign_over:
+                while queue:
+                    yield on_timeout(queue.popleft(), scope, limit)
+                return
     finally:
-        # Caller abandoned the generator (or a child raised): reap
-        # everything still running so no orphan keeps simulating.
-        for conn, (proc, _, _) in list(running.items()):
-            _kill(proc)
-            conn.close()
-        running.clear()
+        for worker in workers:
+            worker.close(kill=worker.job is not None)

@@ -1,8 +1,8 @@
 """The parallel campaign engine.
 
 A campaign is a list of :class:`~repro.campaign.spec.ScenarioSpec`; the
-:class:`CampaignRunner` shards it across a :mod:`multiprocessing` pool.
-Each worker process builds its **own** :class:`~repro.kernel.simulator
+:class:`CampaignRunner` runs it inline or across a pool of worker
+processes.  Each run builds its **own** :class:`~repro.kernel.simulator
 .Simulator` from the spec — runs are fully isolated and deterministic per
 seed — and sends back a small picklable record.  Three guarantees matter:
 
@@ -73,6 +73,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.reporting import dict_rows_table
@@ -85,12 +86,7 @@ from ..telemetry import (
     Telemetry,
     merge_telemetry_files,
 )
-from .orchestrator.budget import (
-    SCOPE_CAMPAIGN,
-    RunBudget,
-    TimeoutRecord,
-    run_with_budget,
-)
+from .orchestrator.budget import RunBudget, TimeoutRecord, run_in_pool
 from .orchestrator.costs import CostModel
 from .orchestrator.partition import cost_shards
 from .scenarios import build_scenario
@@ -430,8 +426,8 @@ def _execute_job(job):
 
     ``job`` is ``(spec_index, spec, trace_sink, trace_out)``, optionally
     extended with ``(telemetry_dir, enqueued_monotonic)``; ``spec`` already
-    carries the mode to run in.  The index rides along so completion-order
-    mappers (``imap_unordered``) can be matched back to their spec without
+    carries the mode to run in.  The index rides along so the pool's
+    completion-order results can be matched back to their spec without
     relying on submission order.
 
     With a telemetry directory the worker opens (once per process) an
@@ -463,6 +459,12 @@ def _execute_job(job):
     telemetry.counter("campaign.jobs_done")
     telemetry.flush()
     return index, record
+
+
+def _timeout_outcome(job, scope: str, limit_s: float):
+    """The outcome the pool yields for a job a budget killed or abandoned."""
+    spec = job[1]
+    return job[0], TimeoutRecord.for_spec(spec, spec.mode, scope, limit_s)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,15 +1153,18 @@ class CampaignRunner:
     ----------
     workers:
         Number of worker processes.  ``1`` (the default) runs inline in
-        the calling process — no pool, bit-identical aggregate.
+        the calling process — no fork, bit-identical aggregate — unless
+        ``budget`` sets a limit.  Otherwise jobs run in one pool of at
+        most ``workers`` long-lived processes
+        (:func:`~repro.campaign.orchestrator.budget.run_in_pool`), which
+        hands each job to an idle worker and streams results back in
+        completion order; a worker that dies mid-job raises an error
+        naming the job's spec and mode.
     paired:
         When True (default) every pairable spec additionally runs the
         reference/Smart equivalence diff.  The two runs of a pair are
         scheduled as independent jobs and recombined at aggregation, so
         they can execute on two different workers.
-    mp_start_method:
-        Optional :mod:`multiprocessing` start method ("fork", "spawn", ...);
-        ``None`` uses the platform default.
     shard:
         Optional ``(index, count)``: run only the ``index``-th deterministic
         shard of the spec list (see :meth:`shard_specs`).  Merging the JSONL
@@ -1177,8 +1182,9 @@ class CampaignRunner:
         shards will not partition consistently.
     budget:
         Optional :class:`~repro.campaign.orchestrator.budget.RunBudget`.
-        When a limit is set, jobs run in killable child processes (even
-        at ``workers=1``): an overrunning job is terminated and recorded
+        When a limit is set, jobs run in the pool (even at
+        ``workers=1``): the worker of an overrunning job is killed, a
+        fresh one replaces it if queued jobs remain, and the job is recorded
         as a deterministic ``timeout`` row (see
         :class:`~repro.campaign.orchestrator.budget.TimeoutRecord`);
         ``--resume`` re-runs timed-out specs.  A budgeted campaign in
@@ -1239,7 +1245,6 @@ class CampaignRunner:
         self,
         workers: int = 1,
         paired: bool = True,
-        mp_start_method: Optional[str] = None,
         shard: Optional[Tuple[int, int]] = None,
         trace_sink: str = DEFAULT_TRACE_SINK,
         trace_out: Optional[str] = None,
@@ -1283,7 +1288,6 @@ class CampaignRunner:
             )
         self.workers = workers
         self.paired = paired
-        self.mp_start_method = mp_start_method
         self.shard = shard
         self.shard_by_cost = shard_by_cost
         self.cost_model = cost_model
@@ -1507,41 +1511,6 @@ class CampaignRunner:
         # process; drop the cached handle so a later run starts fresh.
         _WORKER_TELEMETRY.pop((self.telemetry_dir, os.getpid()), None)
 
-    def _budget_mapper(self, func, jobs):
-        """Completion-order mapper over killable child processes.
-
-        The budgeted twin of the pool mapper: jobs run through
-        :func:`repro.campaign.orchestrator.budget.run_with_budget`, which
-        terminates any job overrunning ``budget.spec_timeout_s`` and
-        abandons everything once ``budget.campaign_budget_s`` expires.  A
-        killed/abandoned job is translated into its deterministic
-        :class:`TimeoutRecord` here (the job tuple carries the spec).
-        """
-        import multiprocessing
-
-        context = multiprocessing.get_context(self.mp_start_method)
-        processes = max(1, min(self.workers, len(jobs)))
-        for event in run_with_budget(
-            func,
-            jobs,
-            budget=self.budget,
-            processes=processes,
-            mp_context=context,
-        ):
-            if event[0] == "result":
-                yield event[1]
-                continue
-            _, job, scope = event
-            index, spec = job[0], job[1]
-            limit = (
-                self.budget.campaign_budget_s
-                if scope == SCOPE_CAMPAIGN
-                else self.budget.spec_timeout_s
-            )
-            yield index, TimeoutRecord.for_spec(
-                spec, spec.mode, scope, limit
-            )
-
     def run(
         self,
         specs: Sequence[ScenarioSpec],
@@ -1658,41 +1627,22 @@ class CampaignRunner:
             replay_rows: List[SpecRunRecord] = []
             if self.auto_replay and specs:
                 specs, replay_rows = self._auto_replay_pass(specs, sink=sink)
-            if self.budget is not None and self.budget.active and specs:
-                # Budgeted execution always runs jobs in killable child
-                # processes (even at workers=1): enforcing a wall-clock
-                # limit on an inline simulation would require cooperation
-                # from the overrunning code — exactly what a stuck spec
-                # does not give.
-                runs, pairs, timeouts = self._execute(
-                    specs, self._budget_mapper, sink=sink
-                )
-            elif self.workers == 1 or not specs:
-                runs, pairs, timeouts = self._execute(
-                    specs,
-                    lambda func, items: (func(item) for item in items),
-                    sink=sink,
-                )
+            if self.workers == 1 and not (
+                self.budget is not None and self.budget.active
+            ):
+                mapper = map
             else:
-                import multiprocessing
-
-                context = multiprocessing.get_context(self.mp_start_method)
-                # Up to two jobs per spec (the split pair halves).
-                processes = max(1, min(self.workers, 2 * len(specs)))
-                # One pool serves the whole campaign, so with workers > 1 all
-                # simulations run in worker processes (the parent only
-                # aggregates).  chunksize=1 keeps the load balanced: batching
-                # jobs would strand queued specs behind one slow spec, and
-                # imap_unordered streams results back in completion order so
-                # the JSONL sink persists each row as soon as it exists.
-                with context.Pool(processes=processes) as pool:
-                    runs, pairs, timeouts = self._execute(
-                        specs,
-                        lambda func, items: pool.imap_unordered(
-                            func, items, chunksize=1
-                        ),
-                        sink=sink,
-                    )
+                # A wall-clock limit on an inline simulation would need
+                # cooperation from the overrunning code — exactly what a
+                # stuck spec does not give — so a budget always runs in
+                # the pool, even at workers=1.
+                mapper = partial(
+                    run_in_pool,
+                    processes=self.workers,
+                    budget=self.budget,
+                    on_timeout=_timeout_outcome,
+                )
+            runs, pairs, timeouts = self._execute(specs, mapper, sink=sink)
         finally:
             if sink_file is not None:
                 sink_file.close()

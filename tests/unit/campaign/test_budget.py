@@ -8,6 +8,10 @@ twin.
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
 
 import pytest
 
@@ -16,8 +20,10 @@ from repro.campaign import (
     RunBudget,
     ScenarioSpec,
     TimeoutRecord,
+    default_campaign,
     merge_jsonl,
 )
+from repro.campaign.orchestrator.budget import run_in_pool
 
 #: Per-burst busy wait of the slow spec; two bursts => >= 2x this wall
 #: time per mode, far above SPEC_TIMEOUT on any machine.
@@ -91,6 +97,18 @@ class TestSpecTimeout:
         assert [p.name for p in result.pairs] == ["fast"]
         rows = [json.loads(line) for line in open(path)]
         assert sum(row["type"] == "timeout" for row in rows) == 2
+        # With the slow spec first on a single worker, that worker is
+        # killed before FAST is dispatched: FAST runs on a fresh worker.
+        respawned = CampaignRunner(
+            workers=1, budget=RunBudget(spec_timeout_s=SPEC_TIMEOUT)
+        ).run([SLOW, FAST])
+        assert sorted((t.name, t.mode) for t in respawned.timeouts) == [
+            ("slow", "reference"), ("slow", "smart"),
+        ]
+        assert [r.deterministic_row() for r in respawned.runs] == [
+            r.deterministic_row() for r in result.runs
+        ]
+        assert [p.name for p in respawned.pairs] == ["fast"]
 
     def test_timeout_rows_are_deterministic(self):
         budget = RunBudget(spec_timeout_s=SPEC_TIMEOUT)
@@ -165,6 +183,16 @@ class TestSpecTimeout:
         assert result.complete
         assert result.fingerprint() == uninterrupted_fingerprint
 
+    def test_budgeted_pool_reuses_its_workers(self):
+        specs = default_campaign()
+        unbudgeted = CampaignRunner(workers=1).run(specs)
+        result = CampaignRunner(
+            workers=2, budget=RunBudget(spec_timeout_s=120.0)
+        ).run(specs)
+        assert result.complete
+        assert result.fingerprint() == unbudgeted.fingerprint()
+        assert len(result.worker_pids()) <= 2
+
     def test_budgeted_execution_works_inline_too(self):
         # workers=1 still kills the overrun: budgeted jobs always run in
         # child processes.
@@ -200,6 +228,52 @@ class TestCampaignBudget:
             CampaignRunner(
                 workers=1, budget=RunBudget(spec_timeout_s=30.0)
             ).run([bad])
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("carries a lambda")
+        self.hook = lambda: None
+
+
+def _raise_unpicklable(job):
+    raise _Unpicklable()
+
+
+class TestWorkerDeath:
+    def test_unpicklable_worker_exception_is_stringified(self):
+        jobs = run_in_pool(
+            _raise_unpicklable, [0], processes=1, budget=None, on_timeout=None
+        )
+        with pytest.raises(RuntimeError, match="_Unpicklable: carries a lambda"):
+            list(jobs)
+
+    def test_killed_worker_raises_naming_its_spec(self):
+        # SIGKILL a worker while both run a half of the slow spec: run()
+        # must raise an error naming the lost job instead of waiting for
+        # it forever.  The alarm turns a hang into a failure.
+        def kill_one_worker():
+            children = multiprocessing.active_children()
+            if children:
+                os.kill(children[0].pid, signal.SIGKILL)
+
+        def hung(signum, frame):
+            raise AssertionError("run() hung after a worker was killed")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        timer = threading.Timer(0.4, kill_one_worker)
+        timer.start()
+        try:
+            with pytest.raises(RuntimeError, match="died") as raised:
+                CampaignRunner(workers=2).run(CAMPAIGN)
+        finally:
+            timer.cancel()
+            timer.join()
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "name='slow'" in str(raised.value)
+        assert "mode=" in str(raised.value)
 
 
 class TestTimeoutRecordRows:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Campaign shard/merge smoke gate (used by ``make campaign-smoke`` and CI).
 
-Runs a small campaign six ways and asserts the scale-out invariant:
+Runs a small campaign eight ways and asserts the scale-out invariant:
 
 1. unsharded, inline (the reference fingerprint);
 2. shard 0/2 and shard 1/2, each across 2 worker processes, streaming
@@ -18,7 +18,11 @@ Runs a small campaign six ways and asserts the scale-out invariant:
 7. the unsharded campaign again with telemetry enabled — the
    fingerprint must still equal the pinned PR 3 constant (telemetry is
    a sideband, never an input), and the merged ``telemetry.jsonl`` is
-   left in the out dir for CI to upload.
+   left in the out dir for CI to upload;
+8. the unsharded campaign again under a generous ``RunBudget`` at
+   ``--workers`` and at one worker — budgeted jobs run in the killable
+   worker pool even at one worker, and when nothing times out the
+   fingerprint must still equal the pinned PR 3 constant.
 
 The merged fingerprint must equal the unsharded one byte for byte — that
 is the property that makes multi-machine campaigns trustworthy.  The burst
@@ -40,6 +44,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.campaign import (  # noqa: E402
     CampaignRunner,
+    RunBudget,
     ScenarioSpec,
     default_campaign,
     merge_jsonl,
@@ -258,6 +263,24 @@ def main(argv=None) -> int:
         f"{len(events)} events from {len(pids)} processes in "
         f"{merged_telemetry}"
     )
+
+    print("[smoke] budgeted runs (killable worker pool, nothing times out)...")
+    for workers in (args.workers, 1):
+        budgeted = CampaignRunner(
+            workers=workers, budget=RunBudget(spec_timeout_s=60)
+        ).run(specs)
+        print(
+            f"[smoke] budgeted fingerprint ({workers} worker(s)): "
+            f"{budgeted.fingerprint()}"
+        )
+        if budgeted.fingerprint() != reference.fingerprint():
+            print(
+                f"FAIL: budgeted fingerprint at {workers} worker(s) differs "
+                "from the unbudgeted run",
+                file=sys.stderr,
+            )
+            return 1
+    print("[smoke] OK: budgeted runs reproduce the unbudgeted fingerprint")
     return 0
 
 
