@@ -81,7 +81,6 @@ from ..campaign import (
     CampaignResumeError,
     CampaignRunner,
     CostModel,
-    JsonlSink,
     RunBudget,
     default_campaign,
     describe_specs,
@@ -90,6 +89,7 @@ from ..campaign import (
     sweep_point_specs,
 )
 from ..replay import ReplayError
+from ..campaign.runner import campaign_header_row, write_jsonl
 from ..campaign.orchestrator import (
     Orchestrator,
     OrchestratorError,
@@ -702,10 +702,10 @@ def _run_replay_sweep(args: argparse.Namespace) -> tuple:
     telemetry.close()
     if args.jsonl:
         row_specs = [anchor] + sweep_point_specs(anchor, depths, quanta)
-        with open(args.jsonl, "w") as stream:
-            sink = JsonlSink(stream, row_specs, workers=1, paired=False)
-            for record in sweep.rows:
-                sink.run_completed(record)
+        write_jsonl(
+            args.jsonl, campaign_header_row(row_specs, 1, False),
+            sweep.rows, (), (),
+        )
     rows = sweep.summary_rows()
     if args.csv:
         write_csv(rows, args.csv)

@@ -62,7 +62,6 @@ from .runner import (
     execute_spec,
     load_resume_state,
     merge_jsonl,
-    parse_jsonl_rows,
 )
 from .scenarios import build_scenario, default_campaign
 from .spec import (
@@ -112,7 +111,6 @@ __all__ = [
     "load_resume_state",
     "execute_spec",
     "merge_jsonl",
-    "parse_jsonl_rows",
     "register_workload",
     "registered_workloads",
     "spec_is_pairable",

@@ -608,8 +608,9 @@ class Orchestrator:
         from ..runner import (
             MERGED_TELEMETRY,
             CampaignRunner,
-            JsonlSink,
+            campaign_header_row,
             merge_jsonl,
+            write_jsonl,
         )
 
         specs = self._resolve_specs(spec_names)
@@ -859,16 +860,11 @@ class Orchestrator:
             ticker.finish()
 
         if merged_jsonl:
-            with open(merged_jsonl, "w") as stream:
-                sink = JsonlSink(
-                    stream, specs, self.workers_per_host, self.paired
-                )
-                for record in merged.runs:
-                    sink.run_completed(record)
-                for pair in merged.pairs:
-                    sink.pair_completed(pair)
-                for timeout in merged.timeouts:
-                    sink.timeout_completed(timeout)
+            write_jsonl(
+                merged_jsonl,
+                campaign_header_row(specs, self.workers_per_host, self.paired),
+                merged.runs, merged.pairs, merged.timeouts,
+            )
 
         return OrchestratorResult(
             result=merged,

@@ -30,10 +30,7 @@ seed — and sends back a small picklable record.  Three guarantees matter:
 
 JSONL persistence (``--jsonl out.jsonl``) streams one row per *completed*
 run/pair, so a long campaign can be tailed while running and merged across
-machines afterwards; ``resume=True`` re-reads a partially written file,
-skips the specs whose rows are already present and appends only the
-missing ones (rejecting a file whose campaign header does not match).  The
-schema (one JSON object per line)::
+machines afterwards.  The schema (one JSON object per line)::
 
     {"type": "campaign", "schema": 1, "specs": [...], "workers": N,
      "paired": true, "shard": "0/2" | null,
@@ -41,6 +38,17 @@ schema (one JSON object per line)::
     {"type": "run", ...SpecRunRecord.deterministic_row()}
     {"type": "pair", ...PairRecord.deterministic_row()}
     {"type": "timeout", ...TimeoutRecord.deterministic_row()}
+
+One reader and one writer handle every file.  :func:`read_jsonl` parses a
+file for both :func:`merge_jsonl` and ``resume=True``, and
+:func:`_check_unique` rejects duplicate or contradictory rows for both; a
+resume tolerates a torn final line (the row an interrupted run was
+writing) and drops it, a merge tolerates none.  :class:`JsonlSink` writes
+every row, live as jobs complete or through :func:`write_jsonl` for a
+whole file (the healed prefix of a resume, a replay sweep, an
+orchestrator's merged output).  A resume skips the specs whose rows are
+already present and appends only the missing ones, rejecting a file
+whose campaign header does not match.
 
 Rows carry deterministic fields only (never wall clock or PIDs), so the
 merge of shard files is byte-identical to the unsharded aggregate.  A
@@ -472,6 +480,10 @@ def _timeout_outcome(job, scope: str, limit_s: float):
 # ---------------------------------------------------------------------------
 JSONL_SCHEMA = 1
 
+#: Record class of every campaign JSONL row type but the header.
+_ROW_TYPES = {"run": SpecRunRecord, "pair": PairRecord, "timeout": TimeoutRecord}
+_ROW_KINDS = {cls: kind for kind, cls in _ROW_TYPES.items()}
+
 
 def campaign_header_row(
     campaign_specs: Sequence[ScenarioSpec],
@@ -504,129 +516,173 @@ def campaign_header_row(
 
 
 class JsonlSink:
-    """Streams one deterministic JSONL row per completed run/pair.
+    """The one writer of campaign JSONL rows.
 
-    The first line is a campaign header row; each subsequent line is a
-    ``run`` or ``pair`` row.  Rows are flushed as they complete so a
-    multi-machine campaign can be tailed and partially merged while still
-    running.  The header records the *whole* campaign's spec names (before
-    shard partitioning), so :func:`merge_jsonl` can tell shards of the same
+    With ``header_row`` (see :func:`campaign_header_row`) the sink starts a
+    new file with that header; without it, it appends to a file whose
+    header is already written (the resume path).  :meth:`write` persists
+    one ``run``, ``pair`` or ``timeout`` row and flushes it, so a running
+    campaign can be tailed and its shard files partially merged.  The
+    header records the *whole* campaign's spec names (before shard
+    partitioning), so :func:`merge_jsonl` can tell shards of the same
     campaign from shards of different ones.
 
-    The resume path :meth:`replay`\\ s the rows recovered from a partially
-    written file and marks them seen, so a re-executed spec whose run row
-    survived a previous invocation does not produce a duplicate (which
-    :func:`merge_jsonl` would rightly reject).
+    An enabled ``telemetry`` gets the time of every row write in the
+    ``campaign.sink_write_s`` counter and one ``campaign.sink_writes`` per
+    row; the header is not counted.
     """
 
     def __init__(
         self,
         stream: IO[str],
-        campaign_specs: Sequence[ScenarioSpec],
-        workers: int,
-        paired: bool,
-        shard: Optional[Tuple[int, int]] = None,
         header_row: Optional[Dict[str, object]] = None,
-        shard_by_cost: bool = False,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ):
         self._stream = stream
-        self._skip_runs: Set[Tuple[str, str]] = set()
-        self._skip_pairs: Set[str] = set()
-        self._write(
-            header_row
-            if header_row is not None
-            else campaign_header_row(
-                campaign_specs, workers, paired, shard, shard_by_cost
-            )
-        )
+        self._telemetry = telemetry
+        if header_row is not None:
+            self._write_line(header_row)
 
-    def _write(self, row: Dict[str, object]) -> None:
+    def _write_line(self, row: Dict[str, object]) -> None:
         self._stream.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
         self._stream.write("\n")
         self._stream.flush()
 
-    def reattach(self, stream: IO[str]) -> None:
-        """Continue writing rows to another stream.
-
-        Used by the resume path: the recovered prefix is written to a
-        temporary file that atomically replaces the original, then the
-        sink reattaches to the real file opened in append mode — so there
-        is never a moment where the only copy of the campaign is
-        truncated.
-        """
-        self._stream = stream
-
-    def replay(self, runs: Sequence[SpecRunRecord], pairs: Sequence[PairRecord]) -> None:
-        """Persist rows recovered from a resumed file and mark them seen."""
-        for record in runs:
-            self.run_completed(record)
-            self._skip_runs.add((record.name, record.mode))
-        for pair in pairs:
-            self.pair_completed(pair)
-            self._skip_pairs.add(pair.name)
-
-    def run_completed(self, record: SpecRunRecord) -> None:
-        if (record.name, record.mode) in self._skip_runs:
-            return
-        self._write({"type": "run", **record.deterministic_row()})
-
-    def pair_completed(self, pair: PairRecord) -> None:
-        if pair.name in self._skip_pairs:
-            return
-        self._write({"type": "pair", **pair.deterministic_row()})
-
-    def timeout_completed(self, record: TimeoutRecord) -> None:
-        """Persist the deterministic row of a budget-killed job.
-
-        Never part of the resume skip sets: a resume drops timeout rows
-        and re-executes the spec, so a fresh row (or the healed run/pair
-        rows) replaces the old one."""
-        self._write({"type": "timeout", **record.deterministic_row()})
-
-
-class _TimedSink:
-    """Times every JSONL sink write into the parent telemetry.
-
-    Wraps the sink only *after* any resume replay has run, so recovered
-    rows are not counted as fresh writes; the counters answer "how much
-    parent time goes into persisting rows" without touching the rows."""
-
-    def __init__(self, sink: JsonlSink, telemetry: Telemetry):
-        self._sink = sink
-        self._telemetry = telemetry
-
-    def _timed(self, method, record) -> None:
-        start = time.perf_counter()
-        method(record)
-        self._telemetry.counter(
-            "campaign.sink_write_s", time.perf_counter() - start
+    def write(self, record) -> None:
+        """Persist a :class:`SpecRunRecord`, :class:`PairRecord` or
+        :class:`TimeoutRecord` as its deterministic row."""
+        telemetry = self._telemetry
+        start = time.perf_counter() if telemetry.enabled else 0.0
+        self._write_line(
+            {"type": _ROW_KINDS[type(record)], **record.deterministic_row()}
         )
-        self._telemetry.counter("campaign.sink_writes")
-
-    def run_completed(self, record: SpecRunRecord) -> None:
-        self._timed(self._sink.run_completed, record)
-
-    def pair_completed(self, pair: PairRecord) -> None:
-        self._timed(self._sink.pair_completed, pair)
-
-    def timeout_completed(self, record: TimeoutRecord) -> None:
-        self._timed(self._sink.timeout_completed, record)
+        if telemetry.enabled:
+            telemetry.counter(
+                "campaign.sink_write_s", time.perf_counter() - start
+            )
+            telemetry.counter("campaign.sink_writes")
 
 
-def parse_jsonl_rows(lines: Iterable[str]):
-    """Yield ``(type, row)`` for every non-empty line of a campaign JSONL."""
+def write_jsonl(
+    path: str,
+    header: Dict[str, object],
+    runs: Iterable[SpecRunRecord],
+    pairs: Iterable[PairRecord],
+    timeouts: Iterable[TimeoutRecord],
+) -> None:
+    """Write a whole campaign JSONL file: ``header``, the run rows, the
+    pair rows and the timeout rows, each in the given order."""
+    with open(path, "w") as stream:
+        sink = JsonlSink(stream, header)
+        for record in (*runs, *pairs, *timeouts):
+            sink.write(record)
+
+
+def _parse_row(line: str):
+    """``(type, header dict or record)`` of one non-empty JSONL line; a
+    malformed line raises a :class:`ValueError` phrased to follow
+    "<path> line <n>"."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"is not valid JSON: {exc}") from None
+    kind = row.get("type") if isinstance(row, dict) else None
+    if kind == "campaign":
+        return kind, row
+    if kind not in _ROW_TYPES:
+        raise ValueError(f"has unknown type {kind!r}")
+    try:
+        return kind, _ROW_TYPES[kind].from_row(row)
+    except KeyError as exc:
+        raise ValueError(f"is a {kind} row missing field {exc}") from None
+
+
+def read_jsonl(path: str, torn_tail_ok: bool = False):
+    """Parse one campaign JSONL file into ``(header, runs, pairs, timeouts)``.
+
+    The one reader behind :func:`merge_jsonl` and ``resume=True``.  The
+    first row must be the file's only campaign header, of schema
+    :data:`JSONL_SCHEMA`; every other row must be a ``run``, ``pair`` or
+    ``timeout`` row carrying all its fields.  Anything else raises a
+    :class:`ValueError` naming the file and line.  With ``torn_tail_ok`` a
+    malformed *final* line — the row a killed writer left half written —
+    is dropped instead; a malformed line anywhere else still raises.
+    """
+    header: Optional[Dict[str, object]] = None
+    rows: Dict[str, list] = {kind: [] for kind in _ROW_TYPES}
+    with open(path) as handle:
+        lines = handle.read().splitlines()
     for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"JSONL line {number} is not valid JSON: {exc}") from None
-        kind = row.get("type")
-        if kind not in ("campaign", "run", "pair", "timeout"):
-            raise ValueError(f"JSONL line {number} has unknown type {kind!r}")
-        yield kind, row
+            kind, parsed = _parse_row(line)
+        except ValueError as exc:
+            if torn_tail_ok and number == len(lines):
+                break
+            raise ValueError(f"{path} line {number} {exc}") from None
+        if kind != "campaign":
+            if header is None:
+                raise ValueError(
+                    f"{path} does not start with a campaign header row"
+                )
+            rows[kind].append(parsed)
+        elif header is not None:
+            raise ValueError(
+                f"{path} line {number} is a second campaign header row"
+            )
+        elif parsed.get("schema") != JSONL_SCHEMA:
+            raise ValueError(
+                f"{path} uses campaign JSONL schema {parsed.get('schema')!r}; "
+                f"this version reads schema {JSONL_SCHEMA}"
+            )
+        else:
+            header = parsed
+    if header is None:
+        raise ValueError(f"{path} contains no campaign rows")
+    return header, rows["run"], rows["pair"], rows["timeout"]
+
+
+def _check_unique(
+    runs: Sequence[SpecRunRecord],
+    pairs: Sequence[PairRecord],
+    timeouts: Sequence[TimeoutRecord],
+) -> None:
+    """Reject rows no single campaign execution writes: two rows of one
+    type for the same job, or a timeout row beside a run or pair row of
+    the same job.  One (spec, mode) job either completed or was killed,
+    and a pair row proves both halves completed; a resume drops timeout
+    rows before it re-runs their specs, so only files stitched from
+    different executions hold both."""
+    run_keys: Set[Tuple[str, str]] = set()
+    for record in runs:
+        key = (record.name, record.mode)
+        if key in run_keys:
+            raise ValueError(
+                f"duplicate run row for spec {record.name!r} mode "
+                f"{record.mode!r}"
+            )
+        run_keys.add(key)
+    pair_names: Set[str] = set()
+    for pair in pairs:
+        if pair.name in pair_names:
+            raise ValueError(f"duplicate pair row for spec {pair.name!r}")
+        pair_names.add(pair.name)
+    timeout_keys: Set[Tuple[str, str]] = set()
+    for timeout in timeouts:
+        key = (timeout.name, timeout.mode)
+        if key in timeout_keys:
+            raise ValueError(
+                f"duplicate timeout row for spec {timeout.name!r} mode "
+                f"{timeout.mode!r}"
+            )
+        timeout_keys.add(key)
+        if key in run_keys or timeout.name in pair_names:
+            raise ValueError(
+                f"contradictory rows for spec {timeout.name!r}: a timeout "
+                f"row for mode {timeout.mode!r} beside a "
+                f"{'run' if key in run_keys else 'pair'} row of the same job"
+            )
 
 
 class CampaignResumeError(ValueError):
@@ -644,84 +700,42 @@ def load_resume_state(
     shard_specs: Optional[Sequence[ScenarioSpec]] = None,
     shard_by_cost: bool = False,
 ):
-    """Parse a partially written campaign JSONL for ``resume=True``.
+    """Read a partially written campaign JSONL for ``resume=True``.
 
-    Returns ``(header_row, runs, pairs)``.  The header must describe the
-    *same* campaign as the one being resumed — identical spec list, paired
-    flag, shard (including the partitioner: a round-robin shard file
-    cannot be resumed as a cost shard or vice versa) and schema —
-    otherwise the resume is rejected: silently appending rows of one
-    campaign to the file of another would merge into a plausible-looking
-    fingerprint that corresponds to no real run.  (A differing ``workers``
-    value is fine: worker count never affects the rows.)  Every recovered
-    row must belong to a known spec, and run rows must match the spec's
-    identity columns (workload, mode, depth, quantum_ns, seed, timing).
-    When resuming one shard of a campaign, ``shard_specs`` names the specs
-    of *this* shard: only their rows may appear in the file — a row from
+    Returns ``(header_row, runs, pairs)``.  The file is parsed by
+    :func:`read_jsonl` with its torn final line dropped and checked by
+    :func:`_check_unique`, the same two steps :func:`merge_jsonl` takes; a
+    file either rejects raises :class:`CampaignResumeError` with the same
+    cause.  The header must then describe the *same* campaign as the one
+    being resumed — identical spec list, paired flag and shard, including
+    the partitioner (a round-robin shard file cannot be resumed as a cost
+    shard or vice versa) — otherwise the resume is rejected: silently
+    appending rows of one campaign to the file of another would merge into
+    a plausible-looking fingerprint that corresponds to no real run.  (A
+    differing ``workers`` value is fine: worker count never affects the
+    rows.)  Every row must belong to a known spec, a pair row to a
+    pairable one, and run and timeout rows must match the spec's identity
+    columns (workload, mode, depth, quantum_ns, seed, timing).  When
+    resuming one shard of a campaign, ``shard_specs`` names the specs of
+    *this* shard and only their rows may appear in the file — a row from
     another shard (the signature of a re-partitioned cost shard, e.g.
-    after ``COSTS.json`` changed) is rejected, because replaying it would
+    after ``COSTS.json`` changed) is rejected, because keeping it would
     produce a shard file the merge rightly refuses.  Rows do **not**
     record ``params`` or the trace-sink kind, so a resume cannot detect
     those changing between invocations — resuming assumes both are
-    unchanged, like sharding does.  ``timeout`` rows are validated like
-    run rows but *not* returned: the timed-out spec is re-executed and the
-    healed file reproduces the uninterrupted fingerprint.  A truncated
-    *final* line — the signature of a run that died mid-write — is
-    dropped; corruption anywhere else still raises.
+    unchanged, like sharding does.  ``timeout`` rows are checked but *not*
+    returned: the timed-out spec is re-executed and the healed file
+    reproduces the uninterrupted fingerprint.
     """
-    header: Optional[Dict[str, object]] = None
-    runs: List[SpecRunRecord] = []
-    pairs: List[PairRecord] = []
-    timeouts: List[TimeoutRecord] = []
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            kind = row.get("type")
-            if kind == "run":
-                parsed = SpecRunRecord.from_row(row)
-            elif kind == "pair":
-                parsed = PairRecord.from_row(row)
-            elif kind == "timeout":
-                parsed = TimeoutRecord.from_row(row)
-            elif kind == "campaign":
-                parsed = row
-                if header is not None:
-                    raise CampaignResumeError(
-                        f"{path} contains more than one campaign header row"
-                    )
-            else:
-                raise ValueError(f"unknown row type {kind!r}")
-        except CampaignResumeError:
-            raise
-        except (ValueError, KeyError, TypeError) as exc:
-            if number == len(lines):
-                break  # torn final line: the interrupted write, drop it
-            raise CampaignResumeError(
-                f"{path} line {number} is not a valid campaign row ({exc}); "
-                f"cannot resume from a corrupt file"
-            ) from None
-        if kind == "campaign":
-            if runs or pairs or timeouts:
-                raise CampaignResumeError(
-                    f"{path} does not start with a campaign header row"
-                )
-            header = parsed
-        elif kind == "run":
-            runs.append(parsed)
-        elif kind == "timeout":
-            timeouts.append(parsed)
-        else:
-            pairs.append(parsed)
-    if header is None:
+    try:
+        header, runs, pairs, timeouts = read_jsonl(path, torn_tail_ok=True)
+        _check_unique(runs, pairs, timeouts)
+    except ValueError as exc:
         raise CampaignResumeError(
-            f"{path} does not start with a campaign header row"
-        )
+            f"cannot resume from a corrupt campaign file: {exc}"
+        ) from None
     expected = campaign_header_row(campaign_specs, 0, paired, shard, shard_by_cost)
-    for key in ("schema", "specs", "paired", "shard"):
+    for key in ("specs", "paired", "shard"):
         if header.get(key) != expected[key]:
             raise CampaignResumeError(
                 f"cannot resume {path}: its campaign header differs on "
@@ -742,76 +756,35 @@ def load_resume_state(
     in_shard = (
         {spec.name for spec in shard_specs} if shard_specs is not None else None
     )
-
-    def check_shard_membership(kind: str, name: str) -> None:
-        if in_shard is not None and name not in in_shard:
-            raise CampaignResumeError(
-                f"cannot resume {path}: {kind} row for spec {name!r} does "
-                f"not belong to shard {expected['shard']} (the file mixes "
-                f"rows of another shard — was the campaign re-partitioned, "
-                f"e.g. by a changed COSTS.json?)"
-            )
-
-    seen_runs: Set[Tuple[str, str]] = set()
-    for record in runs:
+    for record in (*runs, *pairs, *timeouts):
+        kind = _ROW_KINDS[type(record)]
         spec = by_name.get(record.name)
         if spec is None:
             raise CampaignResumeError(
-                f"cannot resume {path}: run row for unknown spec {record.name!r}"
+                f"cannot resume {path}: {kind} row for unknown spec "
+                f"{record.name!r}"
             )
-        check_shard_membership("run", record.name)
+        if in_shard is not None and record.name not in in_shard:
+            raise CampaignResumeError(
+                f"cannot resume {path}: {kind} row for spec {record.name!r} "
+                f"does not belong to shard {expected['shard']} (the file "
+                f"mixes rows of another shard — was the campaign "
+                f"re-partitioned, e.g. by a changed COSTS.json?)"
+            )
+        if kind == "pair":
+            if not spec_is_pairable(spec):
+                raise CampaignResumeError(
+                    f"cannot resume {path}: pair row for non-pairable spec "
+                    f"{record.name!r}"
+                )
+            continue
         expected_identity = spec.with_mode(record.mode).identity_row()
-        row_identity = {
-            key: getattr(record, key) for key in expected_identity
-        }
+        row_identity = {key: getattr(record, key) for key in expected_identity}
         if row_identity != expected_identity:
             raise CampaignResumeError(
-                f"cannot resume {path}: run row for spec {record.name!r} was "
-                f"written by a different spec definition "
+                f"cannot resume {path}: {kind} row for spec {record.name!r} "
+                f"was written by a different spec definition "
                 f"({row_identity} != {expected_identity})"
-            )
-        key = (record.name, record.mode)
-        if key in seen_runs:
-            raise CampaignResumeError(
-                f"cannot resume {path}: duplicate run row for spec "
-                f"{record.name!r} mode {record.mode!r}"
-            )
-        seen_runs.add(key)
-    seen_pairs: Set[str] = set()
-    for pair in pairs:
-        spec = by_name.get(pair.name)
-        if spec is None:
-            raise CampaignResumeError(
-                f"cannot resume {path}: pair row for unknown spec {pair.name!r}"
-            )
-        check_shard_membership("pair", pair.name)
-        if not spec_is_pairable(spec):
-            raise CampaignResumeError(
-                f"cannot resume {path}: pair row for non-pairable spec "
-                f"{pair.name!r}"
-            )
-        if pair.name in seen_pairs:
-            raise CampaignResumeError(
-                f"cannot resume {path}: duplicate pair row for spec {pair.name!r}"
-            )
-        seen_pairs.add(pair.name)
-    for timeout in timeouts:
-        spec = by_name.get(timeout.name)
-        if spec is None:
-            raise CampaignResumeError(
-                f"cannot resume {path}: timeout row for unknown spec "
-                f"{timeout.name!r}"
-            )
-        check_shard_membership("timeout", timeout.name)
-        expected_identity = spec.with_mode(timeout.mode).identity_row()
-        row_identity = {
-            key: getattr(timeout, key) for key in expected_identity
-        }
-        if row_identity != expected_identity:
-            raise CampaignResumeError(
-                f"cannot resume {path}: timeout row for spec "
-                f"{timeout.name!r} was written by a different spec "
-                f"definition ({row_identity} != {expected_identity})"
             )
     return header, runs, pairs
 
@@ -832,7 +805,8 @@ def _check_merge_completeness(
     no row at all (a half only writes a run row for the spec's own mode,
     and the pair never completes), and the merge cannot know the own mode
     from rows alone.  Contradictions it *can* see — a run row and a
-    timeout row for the same (name, mode) — are rejected by the caller."""
+    timeout row for the same (name, mode) — are rejected by
+    :func:`_check_unique`."""
     shards = [h.get("shard") for h in headers]
     if any(shards) and not all(shards):
         raise ValueError(
@@ -908,93 +882,26 @@ def merge_jsonl(paths: Sequence[str]) -> "CampaignResult":
     The merged :meth:`CampaignResult.fingerprint` is byte-identical to what
     an unsharded run of the union of the shards would produce: the rows
     carry only deterministic fields and the aggregate sorts by spec name.
-    Duplicate (name, mode) runs — the same spec in two shards — are
-    rejected, as they would be in an unsharded campaign; so are incomplete
-    merges (a missing shard of an ``i/N`` set, a header spec without its
+    Each file is parsed by :func:`read_jsonl`, which tolerates no torn
+    line, and the union is checked by :func:`_check_unique`: duplicate
+    rows — the same spec in two shards — are rejected, as they would be in
+    an unsharded campaign; so are incomplete merges (a missing shard of an ``i/N`` set, a header spec without its
     run row, a pairable run without its pair row), which would otherwise
     produce a plausible-looking partial fingerprint.  ``timeout`` rows are
     first-class: a budget-killed spec's timeout row stands in for its
     run/pair rows, and the merged fingerprint covers it.
     """
+    headers: List[Dict[str, object]] = []
     runs: List[SpecRunRecord] = []
     pairs: List[PairRecord] = []
     timeouts: List[TimeoutRecord] = []
-    headers: List[Dict[str, object]] = []
     for path in paths:
-        first = True
-        with open(path) as handle:
-            for kind, row in parse_jsonl_rows(handle):
-                if first and kind != "campaign":
-                    raise ValueError(
-                        f"{path} does not start with a campaign header row"
-                    )
-                first = False
-                try:
-                    if kind == "campaign":
-                        schema = row.get("schema")
-                        if schema != JSONL_SCHEMA:
-                            raise ValueError(
-                                f"{path} uses campaign JSONL schema "
-                                f"{schema!r}; this version reads schema "
-                                f"{JSONL_SCHEMA}"
-                            )
-                        headers.append(row)
-                    elif kind == "run":
-                        runs.append(SpecRunRecord.from_row(row))
-                    elif kind == "timeout":
-                        timeouts.append(TimeoutRecord.from_row(row))
-                    else:
-                        pairs.append(PairRecord.from_row(row))
-                except KeyError as exc:
-                    raise ValueError(
-                        f"{path}: {kind} row is missing field {exc}"
-                    ) from None
-        if first:
-            raise ValueError(f"{path} contains no campaign rows")
-    seen_runs = set()
-    for record in runs:
-        key = (record.name, record.mode)
-        if key in seen_runs:
-            raise ValueError(
-                f"duplicate run row for spec {record.name!r} mode "
-                f"{record.mode!r} across the merged JSONL files"
-            )
-        seen_runs.add(key)
-    seen_pairs = set()
-    for pair in pairs:
-        if pair.name in seen_pairs:
-            raise ValueError(
-                f"duplicate pair row for spec {pair.name!r} across the "
-                f"merged JSONL files"
-            )
-        seen_pairs.add(pair.name)
-    seen_timeouts = set()
-    for timeout in timeouts:
-        key = (timeout.name, timeout.mode)
-        if key in seen_timeouts:
-            raise ValueError(
-                f"duplicate timeout row for spec {timeout.name!r} mode "
-                f"{timeout.mode!r} across the merged JSONL files"
-            )
-        seen_timeouts.add(key)
-        if key in seen_runs:
-            # One (spec, mode) job either completed or was killed; a file
-            # set claiming both is stitched from different campaign
-            # executions (a resume always drops timeout rows before
-            # re-running, so no single campaign can write both).
-            raise ValueError(
-                f"contradictory rows for spec {timeout.name!r} mode "
-                f"{timeout.mode!r}: both a run row and a timeout row "
-                f"across the merged JSONL files"
-            )
-        if timeout.name in seen_pairs:
-            # A pair row proves both halves completed, so a timeout row
-            # for the same spec can only come from a different execution
-            # (e.g. shards written before and after a re-partition).
-            raise ValueError(
-                f"contradictory rows for spec {timeout.name!r}: both a "
-                f"pair row and a timeout row across the merged JSONL files"
-            )
+        header, file_runs, file_pairs, file_timeouts = read_jsonl(path)
+        headers.append(header)
+        runs += file_runs
+        pairs += file_pairs
+        timeouts += file_timeouts
+    _check_unique(runs, pairs, timeouts)
     _check_merge_completeness(headers, runs, pairs, timeouts)
     workers = max((int(h.get("workers", 0)) for h in headers), default=0)
     return CampaignResult(
@@ -1403,12 +1310,19 @@ class CampaignRunner:
         rows = [routed[spec.name] for spec in specs if spec.name in routed]
         if sink is not None:
             for row in rows:
-                sink.run_completed(row)
+                sink.write(row)
         remaining = [spec for spec in specs if spec.name not in routed]
         return remaining, rows
 
     # ------------------------------------------------------------------
-    def _execute(self, specs: Sequence[ScenarioSpec], mapper, sink=None):
+    def _execute(
+        self,
+        specs: Sequence[ScenarioSpec],
+        mapper,
+        sink: Optional[JsonlSink],
+        recorded_runs: Dict[Tuple[str, str], SpecRunRecord],
+        recorded_pairs: Set[str],
+    ):
         """Run the campaign body with a completion-order job executor.
 
         Each spec becomes one job in its own mode, or — when ``paired`` is
@@ -1421,6 +1335,13 @@ class CampaignRunner:
         job arrives as a :class:`TimeoutRecord` outcome: it is persisted
         and aggregated but never recombined — a pair with a timed-out half
         simply has no pair row (the timeout row excuses it at merge time).
+
+        On resume, ``recorded_runs`` (keyed by (name, mode)) and
+        ``recorded_pairs`` (spec names) hold the rows an earlier invocation
+        already persisted.  A partially complete spec re-runs both halves
+        of its pair, but neither the recorded run nor the recorded pair is
+        returned or written again; the recorded run also stands in for its
+        half when the re-run of that half is killed by the budget.
         """
         jobs = []
         paired_indices: Set[int] = set()
@@ -1439,17 +1360,20 @@ class CampaignRunner:
         halves: Dict[int, Dict[str, SpecRunRecord]] = {}
         for index, outcome in mapper(_execute_job, jobs):
             spec = specs[index]
-            if isinstance(outcome, TimeoutRecord):
+            recorded = recorded_runs.get((spec.name, outcome.mode))
+            if recorded is not None:
+                outcome = recorded
+            elif isinstance(outcome, TimeoutRecord):
                 timeouts.append(outcome)
                 if sink is not None:
-                    sink.timeout_completed(outcome)
+                    sink.write(outcome)
                 if ticker is not None:
                     ticker.item_done(spec.name, detail=f"timeout {spec.name}")
                 continue
-            if outcome.mode == spec.mode:
+            elif outcome.mode == spec.mode:
                 runs.append(outcome)
                 if sink is not None:
-                    sink.run_completed(outcome)
+                    sink.write(outcome)
             if index in paired_indices:
                 pending = halves.setdefault(index, {})
                 pending[outcome.mode] = outcome
@@ -1477,9 +1401,10 @@ class CampaignRunner:
                         time.perf_counter() - recombine_t0,
                     )
                     telemetry.counter("campaign.pairs_recombined")
-                pairs.append(pair)
-                if sink is not None:
-                    sink.pair_completed(pair)
+                if pair.name not in recorded_pairs:
+                    pairs.append(pair)
+                    if sink is not None:
+                        sink.write(pair)
             if ticker is not None:
                 ticker.item_done(spec.name, detail=spec.name)
         return runs, pairs, timeouts
@@ -1561,13 +1486,15 @@ class CampaignRunner:
                 shard_specs=specs if self.shard is not None else None,
                 shard_by_cost=self.shard_by_cost,
             )
-        seen_runs = {(record.name, record.mode) for record in done_runs}
-        seen_pairs = {pair.name for pair in done_pairs}
+        recorded_runs = {
+            (record.name, record.mode): record for record in done_runs
+        }
+        recorded_pairs = {pair.name for pair in done_pairs}
         todo = []
         for spec in specs:
             needs_pair = self.paired and spec_is_pairable(spec)
-            if (spec.name, spec.mode) in seen_runs and (
-                not needs_pair or spec.name in seen_pairs
+            if (spec.name, spec.mode) in recorded_runs and (
+                not needs_pair or spec.name in recorded_pairs
             ):
                 continue
             todo.append(spec)
@@ -1594,36 +1521,31 @@ class CampaignRunner:
         sink_file = None
         sink = None
         try:
-            if jsonl and resuming_existing:
+            if resuming_existing:
                 # Rewrite the recovered prefix (healing a torn final line)
                 # into a sibling temp file and atomically replace the
                 # original, so the completed work is never the only copy
-                # in a truncated file; then append the new rows.  The
-                # replayed rows are marked seen so a partially complete
-                # spec cannot persist a duplicate row.
+                # in a truncated file; then append the new rows.
                 tmp_path = jsonl + ".resume-tmp"
-                with open(tmp_path, "w") as tmp_file:
-                    sink = JsonlSink(
-                        tmp_file, campaign_specs, self.workers, self.paired,
-                        self.shard, header_row=header_row,
-                    )
-                    sink.replay(done_runs, done_pairs)
+                write_jsonl(tmp_path, header_row, done_runs, done_pairs, ())
                 os.replace(tmp_path, jsonl)
                 sink_file = open(jsonl, "a")
-                sink.reattach(sink_file)
+                sink = JsonlSink(sink_file, telemetry=telemetry)
             elif jsonl:
                 sink_file = open(jsonl, "w")
                 sink = JsonlSink(
-                    sink_file, campaign_specs, self.workers, self.paired,
-                    self.shard, shard_by_cost=self.shard_by_cost,
+                    sink_file,
+                    campaign_header_row(
+                        campaign_specs, self.workers, self.paired,
+                        self.shard, self.shard_by_cost,
+                    ),
+                    telemetry,
                 )
             specs = todo
             if telemetry.enabled:
                 telemetry.gauge("campaign.workers", self.workers)
                 telemetry.gauge("campaign.specs_total", len(campaign_specs))
                 telemetry.gauge("campaign.specs_todo", len(specs))
-                if sink is not None:
-                    sink = _TimedSink(sink, telemetry)
             replay_rows: List[SpecRunRecord] = []
             if self.auto_replay and specs:
                 specs, replay_rows = self._auto_replay_pass(specs, sink=sink)
@@ -1642,7 +1564,9 @@ class CampaignRunner:
                     budget=self.budget,
                     on_timeout=_timeout_outcome,
                 )
-            runs, pairs, timeouts = self._execute(specs, mapper, sink=sink)
+            runs, pairs, timeouts = self._execute(
+                specs, mapper, sink, recorded_runs, recorded_pairs
+            )
         finally:
             if sink_file is not None:
                 sink_file.close()
@@ -1659,20 +1583,9 @@ class CampaignRunner:
             )
             telemetry.close()
             self._merge_telemetry()
-        # Recovered rows and freshly executed rows are interchangeable
-        # (runs are deterministic); keep the recovered copies so the
-        # aggregate matches the persisted file exactly, and drop the
-        # re-executed duplicates of partially complete specs.
-        runs = done_runs + replay_rows + [
-            record for record in runs
-            if (record.name, record.mode) not in seen_runs
-        ]
-        pairs = done_pairs + [
-            pair for pair in pairs if pair.name not in seen_pairs
-        ]
         return CampaignResult(
-            runs=runs,
-            pairs=pairs,
+            runs=done_runs + replay_rows + runs,
+            pairs=done_pairs + pairs,
             workers=self.workers,
             wall_seconds=wall,
             shard=self.shard,

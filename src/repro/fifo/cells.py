@@ -416,42 +416,6 @@ class CellRing:
                 count += 1
         return count
 
-    def busy_insertions_after(self, date_fs: int) -> List[int]:
-        """Sorted insertion dates of busy cells still in the future of
-        ``date_fs`` (packetization helper)."""
-        busy = self._busy
-        insertion = self._insertion
-        dates = [
-            insertion[index]
-            for index in range(self.depth)
-            if busy[index] and insertion[index] > date_fs
-        ]
-        dates.sort()
-        return dates
-
-    def count_free_freed_by(self, date_fs: int) -> int:
-        """Free cells whose slot is really available at ``date_fs``."""
-        busy = self._busy
-        freeing = self._freeing
-        count = 0
-        for index in range(self.depth):
-            if not busy[index] and freeing[index] <= date_fs:
-                count += 1
-        return count
-
-    def free_freeings_after(self, date_fs: int) -> List[int]:
-        """Sorted freeing dates of free cells still in the future of
-        ``date_fs`` (packetization helper)."""
-        busy = self._busy
-        freeing = self._freeing
-        dates = [
-            freeing[index]
-            for index in range(self.depth)
-            if not busy[index] and freeing[index] > date_fs
-        ]
-        dates.sort()
-        return dates
-
     def head_busy_inserted_by(self, count: int, date_fs: int) -> bool:
         """True when the first ``count`` busy cells *in pop order* all hold
         items inserted by ``date_fs``.

@@ -101,9 +101,6 @@ class Event:
         #: static methods + dynamic methods), maintained incrementally so
         #: hot paths can test it with one attribute read.
         self.listener_count = 0
-        # Date (in delta-cycle coordinates) of the last trigger, used by
-        # Signal.event() style queries.
-        self._last_trigger_marker: Optional[Tuple[int, int]] = None
 
     # -- wiring ----------------------------------------------------------
     @property
@@ -111,11 +108,6 @@ class Event:
         if self._sim is None:
             self._sim = context.current_simulator()
         return self._sim
-
-    def bind_simulator(self, sim) -> None:
-        """Explicitly attach the event to a simulator (done by modules)."""
-        self._sim = sim
-        self._scheduler = None
 
     # -- registration (used by the scheduler and by method processes) ----
     def add_waiting_thread(self, process, wait_id: int) -> None:
@@ -127,12 +119,6 @@ class Event:
             self._static_methods.append(process)
             self._static_snapshot = tuple(self._static_methods)
             self.listener_count += 1
-
-    def remove_static_method(self, process) -> None:
-        if process in self._static_methods:
-            self._static_methods.remove(process)
-            self._static_snapshot = tuple(self._static_methods)
-            self.listener_count -= 1
 
     def add_dynamic_method(self, process, trigger_id: int) -> None:
         self._dynamic_methods.append((process, trigger_id))
@@ -241,24 +227,14 @@ class Event:
         """Wait-descriptor protocol: a bare event can be yielded directly."""
         self.add_waiting_thread(process, wait_id)
 
-    def collect_triggered_processes(self, marker: Tuple[int, int]):
-        """Return processes to wake and reset the dynamic waiting lists.
-
-        ``marker`` is a (timed-phase, delta-cycle) pair recorded so that
-        ``triggered`` queries can tell whether the event fired in the
-        current evaluation phase.
-        """
-        self._last_trigger_marker = marker
+    def collect_triggered_processes(self):
+        """Return processes to wake and reset the dynamic waiting lists."""
         threads = self._waiting_threads
         dyn_methods = self._dynamic_methods
         self._waiting_threads = []
         self._dynamic_methods = []
         self.listener_count = len(self._static_methods)
         return threads, self._static_snapshot, dyn_methods
-
-    def triggered_at(self, marker: Tuple[int, int]) -> bool:
-        """True if the event triggered in the evaluation phase ``marker``."""
-        return self._last_trigger_marker == marker
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Event({self.name!r})"

@@ -75,10 +75,6 @@ class Scheduler:
         self.stats = stats or KernelStats()
         self.now_fs = 0
         self.current_process: Optional[Process] = None
-        # (timed-phase, delta-cycle) pair identifying the current evaluation
-        # phase; rebuilt when either counter moves instead of allocating a
-        # tuple per triggered event.
-        self._phase_marker = (self.stats.timed_phases, self.stats.delta_cycles)
 
         self._runnable = deque()
 
@@ -174,9 +170,7 @@ class Scheduler:
         self._make_runnable(process)
 
     def _trigger_event(self, event: Event) -> None:
-        threads, static_methods, dynamic_methods = event.collect_triggered_processes(
-            self._phase_marker
-        )
+        threads, static_methods, dynamic_methods = event.collect_triggered_processes()
         for process, wait_id in threads:
             pending = process.pending_all_events
             if pending:
@@ -340,7 +334,6 @@ class Scheduler:
     def _run_delta_cycle(self) -> None:
         stats = self.stats
         stats.delta_cycles += 1
-        self._phase_marker = (stats.timed_phases, stats.delta_cycles)
         runnable = self._runnable
         # Evaluation phase.  The loop body is the scheduler's innermost hot
         # path; resume state lives on the process object, and the
@@ -405,7 +398,6 @@ class Scheduler:
         self.now_fs = next_time
         stats = self.stats
         stats.timed_phases += 1
-        self._phase_marker = (stats.timed_phases, stats.delta_cycles)
         pool = self._wake_pool
         while queue and queue[0].time_fs == next_time:
             record = heapq.heappop(queue)

@@ -386,83 +386,6 @@ class ReplayEngine:
         self.op_count = sum(len(prog) for _, _, prog in self.programs) + sum(
             len(recs) for _, _, recs in self.method_programs
         )
-        self._envelope = self._collect_envelope()
-
-    def _collect_envelope(self) -> Dict[int, dict]:
-        """Static (provable) validity envelope per FIFO index.
-
-        Write-side boolean probes are monotone in the depth *given an
-        unchanged prior state*: an accepted ``nb_write`` (or a False
-        ``is_full``, or a True ``space_for_packet``) stays valid for any
-        depth >= the anchor's, and a refusal stays valid for any depth <=
-        it.  Inside the resulting per-FIFO ``[min_depth, max_depth]`` range
-        the whole recording is provably stable by induction; outside it the
-        dynamic per-record verification decides (it may still succeed — the
-        static envelope is sufficient, not necessary).
-        """
-        envelope: Dict[int, dict] = {}
-
-        def constrain(fifo_index: int, kind: str, construct: int,
-                      process: str) -> None:
-            entry = envelope.setdefault(fifo_index, {})
-            if kind not in entry:
-                entry[kind] = (BR_NAMES.get(construct, str(construct)),
-                               process)
-
-        for name, _pid, program in self.programs:
-            for op, a, b, _pre in program:
-                if op != OP_BRANCH:
-                    continue
-                construct, outcome, _date = b
-                self._constrain_one(constrain, a, construct, outcome, name)
-        for name, _pid, records in self.method_programs:
-            for _due, construct, fifo_index, outcome, _date in records:
-                self._constrain_one(
-                    constrain, fifo_index, construct, outcome, name
-                )
-        return envelope
-
-    def _constrain_one(self, constrain, fifo_index: int, construct: int,
-                       outcome: int, process: str) -> None:
-        anchor_depth = self.fifos[fifo_index]["depth"]
-        if construct == BR_NB_WRITE or construct == BR_PKT_SPACE:
-            constrain(fifo_index, "ge" if outcome else "le", construct,
-                      process)
-        elif construct == BR_IS_FULL:
-            constrain(fifo_index, "le" if outcome else "ge", construct,
-                      process)
-        elif construct == BR_REG_NB_WRITE:
-            accepted = outcome < anchor_depth
-            constrain(fifo_index, "ge" if accepted else "le", construct,
-                      process)
-        elif construct == BR_REG_IS_FULL:
-            full = outcome >= anchor_depth
-            constrain(fifo_index, "le" if full else "ge", construct, process)
-
-    def depth_envelope(self) -> List[dict]:
-        """Per-FIFO static envelope: ``[{name, min_depth, max_depth, ...}]``.
-
-        ``min_depth``/``max_depth`` bound the *provably* safe retargets for
-        each FIFO (None = unbounded on that side); each bound names the
-        probing construct and process that imposed it.  Retargets outside
-        the bounds are still attempted — the dynamic per-record check is
-        authoritative — but are the ones that can raise
-        :class:`ReplayInvalid`.
-        """
-        report = []
-        for index, meta in enumerate(self.fifos):
-            entry = self._envelope.get(index, {})
-            ge = entry.get("ge")
-            le = entry.get("le")
-            report.append({
-                "name": meta["name"],
-                "anchor_depth": meta["depth"],
-                "min_depth": meta["depth"] if ge else None,
-                "max_depth": meta["depth"] if le else None,
-                "min_origin": ge,
-                "max_origin": le,
-            })
-        return report
 
     # ------------------------------------------------------------------
     def retarget_depths(self, anchor_depth: int, depth: int) -> List[int]:
