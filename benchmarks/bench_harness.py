@@ -4,7 +4,8 @@ The pytest-benchmark modules under ``benchmarks/`` are great for
 interactive exploration but their output is not committed; this module is
 the *persistent* counterpart.  It re-runs the same scenarios — the micro
 FIFO operations, the Fig. 5 depth sweep and the Section IV-C SoC case
-study — under plain :func:`time.perf_counter`, and reduces each scenario
+study — under plain :func:`time.perf_counter`, adds the campaign, replay
+and CLI start-up scenarios, and reduces each scenario
 to a small set of named scalar metrics that can be compared from one PR
 to the next.
 
@@ -33,6 +34,8 @@ the wall-clock shape in a machine-independent way.
 from __future__ import annotations
 
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -97,6 +100,9 @@ METRICS: Dict[str, bool] = {
     "replay.speedup_vs_simulate": True,
     "replay.conditional_points_per_s": True,
     "campaign.auto_replay_sweep_specs_per_s": True,
+    "startup.list_wall_s": False,
+    "startup.merge_wall_s": False,
+    "startup.import_cli_s": False,
 }
 
 #: Metrics reported in the comparison but exempt from the regression gate
@@ -112,6 +118,12 @@ ADVISORY_METRICS = {
     # which fails the scenario — not just the comparison — when disabled
     # telemetry costs real time.
     "micro.telemetry_off_overhead",
+    # Fresh-interpreter walls: dominated by module compilation and disk
+    # cache state, and ~2x apart with and without cached bytecode
+    # (PYTHONDONTWRITEBYTECODE), so they are a trajectory, not a gate.
+    "startup.list_wall_s",
+    "startup.merge_wall_s",
+    "startup.import_cli_s",
 }
 
 #: Hard in-scenario bound on the disabled-telemetry overhead factor:
@@ -154,6 +166,11 @@ AUTO_SWEEP_DEPTHS = tuple(sorted(set(
 #: recording carries DEP_BRANCH records — the conditional-replay path —
 #: while still replaying across the whole grid.
 AUTO_SWEEP_ANCHOR = "mixed_d3"
+
+#: Fresh interpreters per startup wall; the scenario reports the median.
+STARTUP_SAMPLES = 5
+#: Default-campaign specs whose two shard files the startup merge reads.
+STARTUP_MERGE_SPECS = ("writer_reader_d1", "writer_reader_d4")
 
 
 def _best_wall(func: Callable[[], object], repeats: int) -> Tuple[float, object]:
@@ -612,6 +629,65 @@ def bench_auto_replay(repeats: int) -> Tuple[Dict[str, float], Dict[str, object]
 
 
 # ---------------------------------------------------------------------------
+# Scenario: CLI start-up
+# ---------------------------------------------------------------------------
+def _median_process_wall(argv: List[str], cwd: str) -> Tuple[float, List[float]]:
+    """Median wall of ``STARTUP_SAMPLES`` fresh ``python argv`` processes."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    walls = []
+    for _ in range(STARTUP_SAMPLES):
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable] + argv, cwd=cwd, env=env, check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls), walls
+
+
+def bench_startup(repeats: int) -> Tuple[Dict[str, float], Dict[str, object]]:
+    """What a command costs before it simulates anything.
+
+    Median wall of fresh interpreters (``STARTUP_SAMPLES`` each, whatever
+    ``repeats`` says: a start-up wall is a distribution, not a best case)
+    for ``campaign --list``, ``campaign --merge-jsonl`` over two small
+    shard files, and ``python -c "import repro.analysis.cli"``.  Interpreter
+    start, imports and argument parsing dominate all three, so they move
+    with what each command imports.  ``detail`` records whether bytecode
+    caching was off (``PYTHONDONTWRITEBYTECODE``), which roughly doubles
+    import walls.
+    """
+    cli = ["-m", "repro.analysis.cli", "campaign"]
+    by_name = {spec.name: spec for spec in default_campaign()}
+    specs = [by_name[name] for name in STARTUP_MERGE_SPECS]
+    with tempfile.TemporaryDirectory(prefix="bench_startup_") as tmp:
+        shards = [os.path.join(tmp, f"shard{index}.jsonl") for index in range(2)]
+        for index, path in enumerate(shards):
+            CampaignRunner(shard=(index, 2)).run(specs, jsonl=path)
+        list_wall, list_walls = _median_process_wall(cli + ["--list"], tmp)
+        merge_wall, merge_walls = _median_process_wall(
+            cli + ["--merge-jsonl", ",".join(shards)], tmp
+        )
+        import_wall, import_walls = _median_process_wall(
+            ["-c", "import repro.analysis.cli"], tmp
+        )
+    metrics = {
+        "startup.list_wall_s": list_wall,
+        "startup.merge_wall_s": merge_wall,
+        "startup.import_cli_s": import_wall,
+    }
+    detail = {
+        "samples": STARTUP_SAMPLES,
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "list_walls_s": list_walls,
+        "merge_walls_s": merge_walls,
+        "import_cli_walls_s": import_walls,
+    }
+    return metrics, detail
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 SCENARIOS = {
@@ -622,6 +698,7 @@ SCENARIOS = {
     "bench_orchestrator": bench_orchestrator,
     "bench_replay_sweep": bench_replay,
     "bench_auto_replay_sweep": bench_auto_replay,
+    "bench_startup": bench_startup,
 }
 
 

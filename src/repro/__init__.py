@@ -21,6 +21,10 @@ The package is organised in layers:
   (trace equivalence, run statistics, experiment drivers for every table
   and figure of the paper).
 
+Every name this package and its subpackages re-export is imported on first
+use (PEP 562 ``__getattr__``), so ``from repro import Simulator`` works as
+always while a command that only lists specs never loads the kernel.
+
 Quick start::
 
     from repro import Simulator, SmartFifo, DecoupledModule, ns
@@ -41,71 +45,23 @@ Quick start::
     ...
 """
 
-from .kernel import (
-    Event,
-    Module,
-    NS,
-    PS,
-    SimTime,
-    Simulator,
-    US,
-    ZERO_TIME,
-    fs,
-    ms,
-    ns,
-    ps,
-    sec,
-    us,
-)
-from .kernel.simtime import TimeUnit
-from .td import (
-    DecoupledMixin,
-    DecoupledModule,
-    GlobalQuantum,
-    QuantumKeeper,
-    inc,
-    local_time_stamp,
-    sync,
-)
-from .fifo import (
-    PacketSmartFifo,
-    ReadArbiter,
-    RegularFifo,
-    SmartFifo,
-    SyncFifo,
-    WriteArbiter,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DecoupledMixin",
-    "DecoupledModule",
-    "Event",
-    "GlobalQuantum",
-    "Module",
-    "NS",
-    "PacketSmartFifo",
-    "PS",
-    "QuantumKeeper",
-    "ReadArbiter",
-    "RegularFifo",
-    "SimTime",
-    "Simulator",
-    "SmartFifo",
-    "SyncFifo",
-    "TimeUnit",
-    "US",
-    "WriteArbiter",
-    "ZERO_TIME",
-    "__version__",
-    "fs",
-    "inc",
-    "local_time_stamp",
-    "ms",
-    "ns",
-    "ps",
-    "sec",
-    "sync",
-    "us",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".kernel": (
+        "Event", "Module", "NS", "PS", "SimTime", "Simulator", "US",
+        "ZERO_TIME", "fs", "ms", "ns", "ps", "sec", "us",
+    ),
+    ".kernel.simtime": ("TimeUnit",),
+    ".td": (
+        "DecoupledMixin", "DecoupledModule", "GlobalQuantum", "QuantumKeeper",
+        "inc", "local_time_stamp", "sync",
+    ),
+    ".fifo": (
+        "PacketSmartFifo", "ReadArbiter", "RegularFifo", "SmartFifo",
+        "SyncFifo", "WriteArbiter",
+    ),
+})
+__all__.append("__version__")

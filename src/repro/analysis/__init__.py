@@ -10,34 +10,17 @@
   plus the quantum and context-switch ablations).
 """
 
-from .reporting import ascii_table, csv_text, dict_rows_table, format_gain, text_plot, write_csv
-from .stats import RunResult, measure_run
-from .trace_diff import (
-    TraceComparison,
-    assert_equivalent,
-    compare_collectors,
-    compare_sorted_lines,
-    compare_spools,
-    compare_traces,
-    emission_order_changed,
-    sorted_lines,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RunResult",
-    "TraceComparison",
-    "ascii_table",
-    "assert_equivalent",
-    "compare_collectors",
-    "compare_sorted_lines",
-    "compare_spools",
-    "compare_traces",
-    "csv_text",
-    "dict_rows_table",
-    "emission_order_changed",
-    "format_gain",
-    "measure_run",
-    "sorted_lines",
-    "text_plot",
-    "write_csv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".reporting": (
+        "ascii_table", "csv_text", "dict_rows_table", "format_gain",
+        "text_plot", "write_csv",
+    ),
+    ".stats": ("RunResult", "measure_run"),
+    ".trace_diff": (
+        "TraceComparison", "assert_equivalent", "compare_collectors",
+        "compare_sorted_lines", "compare_spools", "compare_traces",
+        "emission_order_changed", "sorted_lines",
+    ),
+})

@@ -73,34 +73,14 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import socket
+import sys
 from typing import List, Optional, Sequence, Tuple
 
-from ..campaign import (
-    DEFAULT_TRACE_SINK,
-    CampaignResumeError,
-    CampaignRunner,
-    CostModel,
-    RunBudget,
-    default_campaign,
-    describe_specs,
-    merge_jsonl,
-    run_replay_sweep,
-    sweep_point_specs,
-)
-from ..replay import ReplayError
-from ..campaign.runner import campaign_header_row, write_jsonl
-from ..campaign.orchestrator import (
-    Orchestrator,
-    OrchestratorError,
-    local_hosts,
-    parse_hosts_file,
-)
-from ..kernel.tracing import SINK_KINDS
-from ..soc import SocConfig
-from ..telemetry import NULL_TELEMETRY, Telemetry, render_report
-from ..workloads import StreamingConfig
-from . import experiments
+# Only what every subcommand's parser and ``campaign --list`` need is
+# imported here; each handler imports the code it runs, so listing specs
+# never loads the simulator and merging rows never loads a workload.
+from ..campaign.spec import default_campaign, describe_specs, spec_is_pairable
+from ..kernel.tracing import DEFAULT_TRACE_SINK, SINK_KINDS
 from .reporting import dict_rows_table, write_csv
 
 
@@ -548,11 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _streaming_config(args: argparse.Namespace) -> StreamingConfig:
+def _streaming_config(args: argparse.Namespace):
+    from ..workloads import StreamingConfig
+
     return StreamingConfig(n_blocks=args.blocks, words_per_block=args.words)
 
 
 def run_fig2(args: argparse.Namespace) -> str:
+    from . import experiments
+
     result = experiments.fig2_fig3_example(fifo_depth=args.depth)
     if args.csv:
         write_csv(result.rows(), args.csv)
@@ -566,7 +550,11 @@ def run_fig2(args: argparse.Namespace) -> str:
 
 
 def run_fig5(args: argparse.Namespace):
+    from . import experiments
+
     if args.replay:
+        from ..replay import ReplayError
+
         try:
             result = experiments.fig5_replay_sweep(
                 depths=args.depths,
@@ -591,6 +579,9 @@ def run_fig5(args: argparse.Namespace):
 
 
 def run_case_study(args: argparse.Namespace) -> str:
+    from ..soc import SocConfig
+    from . import experiments
+
     config = SocConfig.benchmark(n_chains=args.chains, items_per_chain=args.items)
     config.workers_per_chain = args.workers
     config.validate()
@@ -620,6 +611,8 @@ def run_case_study(args: argparse.Namespace) -> str:
 
 
 def run_quantum(args: argparse.Namespace) -> str:
+    from . import experiments
+
     rows = experiments.quantum_ablation(
         quanta_ns=args.quanta, config=_streaming_config(args)
     )
@@ -629,6 +622,8 @@ def run_quantum(args: argparse.Namespace) -> str:
 
 
 def run_context_switches(args: argparse.Namespace) -> str:
+    from . import experiments
+
     rows = experiments.context_switch_sweep(
         depths=args.depths, base_config=_streaming_config(args)
     )
@@ -649,6 +644,11 @@ def _campaign_output(result) -> tuple:
 
 def _run_replay_sweep(args: argparse.Namespace) -> tuple:
     """The ``campaign --replay-sweep`` body: record once, replay the sweep."""
+    from ..campaign.evaluators import run_replay_sweep, sweep_point_specs
+    from ..campaign.runner import campaign_header_row, write_jsonl
+    from ..replay import ReplayError
+    from ..telemetry import NULL_TELEMETRY, Telemetry
+
     specs = default_campaign(burst=args.burst)
     by_name = {spec.name: spec for spec in specs}
     if args.replay_sweep not in by_name:
@@ -804,6 +804,8 @@ def run_campaign(args: argparse.Namespace) -> str:
                 f"--merge-jsonl only merges previously written files and "
                 f"cannot be combined with {', '.join(conflicting)}"
             )
+        from ..campaign.runner import merge_jsonl
+
         paths = [p.strip() for p in args.merge_jsonl.split(",") if p.strip()]
         try:
             result = merge_jsonl(paths)
@@ -827,6 +829,9 @@ def run_campaign(args: argparse.Namespace) -> str:
         # Expand each selected spec into its sweep grid; the runner's
         # auto-replay pass then records each spec once and replays its
         # grid points.
+        from ..campaign.evaluators import sweep_point_specs
+        from ..replay import ReplayError
+
         expanded = []
         for spec in specs:
             expanded.append(spec)
@@ -851,6 +856,10 @@ def run_campaign(args: argparse.Namespace) -> str:
              "timing", "pairable", "params"],
             title="Campaign specs",
         )
+    from ..campaign.orchestrator.budget import RunBudget
+    from ..campaign.orchestrator.costs import CostModel
+    from ..campaign.runner import CampaignResumeError, CampaignRunner
+
     budget = None
     if args.spec_timeout is not None or args.campaign_budget is not None:
         budget = RunBudget(
@@ -880,6 +889,17 @@ def run_campaign(args: argparse.Namespace) -> str:
         # Only resume problems get the friendly one-liner; a ValueError
         # from inside a simulation is a real bug and keeps its traceback.
         raise SystemExit(f"cannot resume campaign: {exc}")
+    if (
+        args.auto_replay
+        and not args.no_paired
+        and any(spec_is_pairable(spec) for spec in specs)
+        and not any(run.evaluator == "replay" for run in result.runs)
+    ):
+        print(
+            f"auto-replay routed 0 of {len(specs)} specs: paired specs are "
+            "never replayed (add --no-paired)",
+            file=sys.stderr,
+        )
     if args.record_costs:
         try:
             recorded = CostModel.load(args.record_costs)
@@ -887,6 +907,8 @@ def run_campaign(args: argparse.Namespace) -> str:
             raise SystemExit(f"cannot read --record-costs: {exc}")
         recorded.observe_result(result)
         if result.wall_seconds > 0 and specs:
+            import socket
+
             # Advisory whole-host throughput for capacity planning; the
             # LPT partitioner never reads it (see orchestrator/costs.py).
             recorded.observe_host(
@@ -900,6 +922,13 @@ def run_campaign(args: argparse.Namespace) -> str:
 
 
 def run_orchestrate(args: argparse.Namespace) -> tuple:
+    from ..campaign.orchestrator import (
+        Orchestrator,
+        OrchestratorError,
+        local_hosts,
+        parse_hosts_file,
+    )
+
     if args.round_robin and args.costs:
         raise SystemExit(
             "--costs is only read by the cost partitioner and has no "
@@ -952,6 +981,8 @@ def run_orchestrate(args: argparse.Namespace) -> tuple:
 
 
 def run_telemetry_report(args: argparse.Namespace) -> str:
+    from ..telemetry.report import render_report
+
     try:
         return render_report(args.paths, top=args.top)
     except (OSError, ValueError) as exc:

@@ -9,10 +9,11 @@ campaign-scale engine:
 * :mod:`repro.campaign.spec` — declarative :class:`ScenarioSpec`
   descriptions (workload kind, FIFO policy/mode, depth, quantum, seed,
   timing mode, workload params; the field reference lives in that module's
-  docstring) and the workload registry;
+  docstring), the static workload registry, :func:`build_scenario` and
+  :func:`default_campaign`;
 * :mod:`repro.campaign.scenarios` — builders for every repository workload
   (writer/reader, streaming, video, random traffic, bursty, arbiter
-  contention, SoC case study) plus :func:`default_campaign`;
+  contention, SoC case study), loaded by the first :func:`build_scenario`;
 * :mod:`repro.campaign.runner` — the :class:`CampaignRunner`, which runs
   specs inline or across one killable pool of long-lived worker processes
   (every run builds a private :class:`~repro.kernel.simulator.Simulator`),
@@ -35,84 +36,27 @@ Entry points: ``python -m repro.analysis.cli campaign --workers 4`` and the
 ``campaign.*`` metric of ``benchmarks/bench_harness.py``.
 """
 
-from .evaluators import (
-    Evaluator,
-    ReplayEvaluator,
-    ReplaySweepResult,
-    SimulateEvaluator,
-    ValidationRecord,
-    compare_replay_to_spool,
-    record_spool,
-    replay_group_key,
-    run_replay_sweep,
-    sweep_point_specs,
-)
-from .orchestrator.budget import RunBudget, TimeoutRecord
-from .orchestrator.costs import CostModel
-from .runner import (
-    DEFAULT_TRACE_SINK,
-    CampaignResumeError,
-    CampaignResult,
-    CampaignRunner,
-    JsonlSink,
-    PairRecord,
-    SpecRunRecord,
-    combine_pair,
-    diff_pair_streaming,
-    execute_spec,
-    load_resume_state,
-    merge_jsonl,
-)
-from .scenarios import build_scenario, default_campaign
-from .spec import (
-    MODE_REFERENCE,
-    MODE_SMART,
-    BuiltScenario,
-    ScenarioSpec,
-    WorkloadEntry,
-    describe_specs,
-    register_workload,
-    registered_workloads,
-    spec_is_pairable,
-    workload_entry,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BuiltScenario",
-    "CampaignResumeError",
-    "CampaignResult",
-    "CampaignRunner",
-    "CostModel",
-    "Evaluator",
-    "JsonlSink",
-    "ReplayEvaluator",
-    "ReplaySweepResult",
-    "SimulateEvaluator",
-    "ValidationRecord",
-    "compare_replay_to_spool",
-    "record_spool",
-    "replay_group_key",
-    "run_replay_sweep",
-    "sweep_point_specs",
-    "RunBudget",
-    "TimeoutRecord",
-    "MODE_REFERENCE",
-    "MODE_SMART",
-    "PairRecord",
-    "ScenarioSpec",
-    "SpecRunRecord",
-    "WorkloadEntry",
-    "build_scenario",
-    "DEFAULT_TRACE_SINK",
-    "combine_pair",
-    "default_campaign",
-    "describe_specs",
-    "diff_pair_streaming",
-    "load_resume_state",
-    "execute_spec",
-    "merge_jsonl",
-    "register_workload",
-    "registered_workloads",
-    "spec_is_pairable",
-    "workload_entry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".evaluators": (
+        "Evaluator", "ReplayEvaluator", "ReplaySweepResult",
+        "SimulateEvaluator", "ValidationRecord", "compare_replay_to_spool",
+        "record_spool", "replay_group_key", "run_replay_sweep",
+        "sweep_point_specs",
+    ),
+    ".orchestrator.budget": ("RunBudget", "TimeoutRecord"),
+    ".orchestrator.costs": ("CostModel",),
+    ".runner": (
+        "DEFAULT_TRACE_SINK", "CampaignResumeError", "CampaignResult",
+        "CampaignRunner", "JsonlSink", "PairRecord", "SpecRunRecord",
+        "combine_pair", "diff_pair_streaming", "execute_spec",
+        "load_resume_state", "merge_jsonl",
+    ),
+    ".spec": (
+        "MODE_REFERENCE", "MODE_SMART", "BuiltScenario", "ScenarioSpec",
+        "WorkloadEntry", "build_scenario", "default_campaign",
+        "describe_specs", "registered_workloads", "spec_is_pairable",
+        "workload_entry",
+    ),
+})

@@ -42,8 +42,7 @@ from ..kernel.tracing import (
 from ..replay import ReplayEngine, ReplayError, ReplayInvalid, ReplayResult
 from ..telemetry import NULL_TELEMETRY
 from .runner import DEFAULT_TRACE_SINK, SpecRunRecord, _record_from, execute_spec
-from .scenarios import build_scenario
-from .spec import ScenarioSpec
+from .spec import ScenarioSpec, build_scenario
 
 #: Digest of a trace with no lines — replay runs no trace statements, so
 #: its rows carry the digest a ``null``-sink simulation would report.

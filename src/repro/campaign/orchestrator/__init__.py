@@ -23,45 +23,16 @@ Entry points: ``python -m repro.analysis.cli orchestrate`` and
 ``make orchestrate-smoke``.
 """
 
-from .budget import (
-    SCOPE_CAMPAIGN,
-    SCOPE_SPEC,
-    RunBudget,
-    TimeoutRecord,
-)
-from .costs import HEURISTIC_WEIGHTS, CostModel
-from .hosts import HostSpec, local_hosts, parse_hosts_file
-from .partition import cost_shards, estimated_makespans, makespan_spread
-from .transport import (
-    HostRun,
-    HostTransport,
-    LocalSubprocessTransport,
-    Orchestrator,
-    OrchestratorError,
-    OrchestratorResult,
-    SshTransport,
-    make_transport,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "HEURISTIC_WEIGHTS",
-    "HostRun",
-    "HostSpec",
-    "HostTransport",
-    "LocalSubprocessTransport",
-    "Orchestrator",
-    "OrchestratorError",
-    "OrchestratorResult",
-    "RunBudget",
-    "SCOPE_CAMPAIGN",
-    "SCOPE_SPEC",
-    "SshTransport",
-    "TimeoutRecord",
-    "cost_shards",
-    "estimated_makespans",
-    "local_hosts",
-    "make_transport",
-    "makespan_spread",
-    "parse_hosts_file",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".budget": ("SCOPE_CAMPAIGN", "SCOPE_SPEC", "RunBudget", "TimeoutRecord"),
+    ".costs": ("HEURISTIC_WEIGHTS", "CostModel"),
+    ".hosts": ("HostSpec", "local_hosts", "parse_hosts_file"),
+    ".partition": ("cost_shards", "estimated_makespans", "makespan_spread"),
+    ".transport": (
+        "HostRun", "HostTransport", "LocalSubprocessTransport", "Orchestrator",
+        "OrchestratorError", "OrchestratorResult", "SshTransport",
+        "make_transport",
+    ),
+})

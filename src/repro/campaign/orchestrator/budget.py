@@ -35,12 +35,10 @@ byte-identical rows to an unbudgeted one.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..spec import ScenarioSpec
@@ -177,6 +175,8 @@ class _Worker:
     """
 
     def __init__(self, func) -> None:
+        import multiprocessing
+
         self.conn, child_conn = multiprocessing.Pipe()
         self.proc = multiprocessing.Process(
             target=_worker_main, args=(child_conn, func), daemon=True
@@ -252,6 +252,10 @@ def run_in_pool(
     :class:`RuntimeError` naming its job.  Every worker is stopped when
     the generator finishes, raises or is abandoned.
     """
+    # Imported on use: reading or merging timeout rows needs this module
+    # but never the pool.
+    from multiprocessing.connection import wait as _connection_wait
+
     budget = budget or RunBudget()
     spec_timeout = budget.spec_timeout_s or math.inf
     campaign_deadline = time.monotonic() + (

@@ -47,7 +47,14 @@ from ...telemetry import (
     Telemetry,
     merge_telemetry_files,
 )
-from ..spec import ScenarioSpec
+from ..runner import (
+    MERGED_TELEMETRY,
+    CampaignRunner,
+    campaign_header_row,
+    merge_jsonl,
+    write_jsonl,
+)
+from ..spec import ScenarioSpec, default_campaign
 from .costs import CostModel
 from .hosts import KIND_LOCAL, KIND_SSH, HostSpec
 from .partition import cost_shards, estimated_makespans, makespan_spread
@@ -507,8 +514,6 @@ class Orchestrator:
         campaign: the launch command reconstructs them *by name* on the
         remote side, so an ad-hoc spec object would silently run as
         something else there."""
-        from ..scenarios import default_campaign
-
         specs = default_campaign()
         if spec_names is None:
             return specs
@@ -601,18 +606,6 @@ class Orchestrator:
         unsharded campaign JSONL file (itself re-mergeable), which is
         what CI uploads as the orchestrate-smoke artifact.
         """
-        # Imported lazily: this module is imported while
-        # ``repro.campaign.runner`` is still initializing (runner pulls
-        # the budget types from this package), so the runner symbols are
-        # only available at call time.
-        from ..runner import (
-            MERGED_TELEMETRY,
-            CampaignRunner,
-            campaign_header_row,
-            merge_jsonl,
-            write_jsonl,
-        )
-
         specs = self._resolve_specs(spec_names)
         names = [spec.name for spec in specs]
         count = len(self.hosts)

@@ -82,27 +82,28 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..analysis.reporting import dict_rows_table
-from ..analysis.trace_diff import compare_spools
-from ..kernel.simulator import Simulator
-from ..kernel.tracing import SINK_KINDS, make_sink
-from ..telemetry import (
-    NULL_TELEMETRY,
-    ProgressTicker,
-    Telemetry,
-    merge_telemetry_files,
+from ..kernel.tracing import DEFAULT_TRACE_SINK, SINK_KINDS, make_sink
+from ..telemetry.core import NULL_TELEMETRY, Telemetry, merge_telemetry_files
+from .orchestrator.budget import TimeoutRecord
+from .spec import (
+    MODE_REFERENCE,
+    MODE_SMART,
+    ScenarioSpec,
+    build_scenario,
+    spec_is_pairable,
+    workload_builders,
 )
-from .orchestrator.budget import RunBudget, TimeoutRecord, run_in_pool
-from .orchestrator.costs import CostModel
-from .orchestrator.partition import cost_shards
-from .scenarios import build_scenario
-from .spec import MODE_REFERENCE, MODE_SMART, ScenarioSpec, spec_is_pairable
 
-#: Sink kind run by campaign workers unless overridden: digests stream out
-#: of the simulation without the trace ever being materialized.
-DEFAULT_TRACE_SINK = "digest"
+if TYPE_CHECKING:
+    from ..kernel.simulator import Simulator
+    from ..telemetry.progress import ProgressTicker
+    from .orchestrator.budget import RunBudget
+    from .orchestrator.costs import CostModel
 
 #: File name of the merged telemetry sideband inside ``--telemetry DIR``.
 MERGED_TELEMETRY = "telemetry.jsonl"
@@ -323,6 +324,8 @@ def _run_one(
     after the run — the per-FIFO burst routing counters; the default
     ``NULL_TELEMETRY`` keeps the hot path at one attribute check.
     """
+    from ..kernel.simulator import Simulator
+
     sim = Simulator(f"campaign_{spec.label}", trace_sink=make_sink(trace_sink))
     sim.telemetry = telemetry
     built = build_scenario(sim, spec)
@@ -402,6 +405,8 @@ def diff_pair_streaming(spec: ScenarioSpec) -> PairRecord:
     without ever materializing either trace.  Deterministic, hence
     identical for any worker count.
     """
+    from ..analysis.trace_diff import compare_spools
+
     ref_spec = spec.with_mode(MODE_REFERENCE)
     smart_spec = spec.with_mode(MODE_SMART)
     ref_sim, ref_built, ref_wall = _run_one(ref_spec, "spool")
@@ -1463,6 +1468,8 @@ class CampaignRunner:
         campaign_specs = specs
         if self.shard is not None:
             if self.shard_by_cost:
+                from .orchestrator.partition import cost_shards
+
                 shards = cost_shards(
                     campaign_specs,
                     self.shard[1],
@@ -1507,6 +1514,8 @@ class CampaignRunner:
             )
         self._telemetry = telemetry
         if self.progress:
+            from ..telemetry.progress import ProgressTicker
+
             costs = None
             if self.cost_model is not None:
                 costs = {
@@ -1549,11 +1558,17 @@ class CampaignRunner:
             replay_rows: List[SpecRunRecord] = []
             if self.auto_replay and specs:
                 specs, replay_rows = self._auto_replay_pass(specs, sink=sink)
+            if specs:
+                # Before the pool forks: workers inherit the workload
+                # modules instead of each compiling its own copy.
+                workload_builders()
             if self.workers == 1 and not (
                 self.budget is not None and self.budget.active
             ):
                 mapper = map
             else:
+                from .orchestrator.budget import run_in_pool
+
                 # A wall-clock limit on an inline simulation would need
                 # cooperation from the overrunning code — exactly what a
                 # stuck spec does not give — so a budget always runs in

@@ -1,4 +1,4 @@
-"""Workload builders of the campaign registry, plus the default campaign.
+"""Workload builders of the campaign registry (see :mod:`repro.campaign.spec`).
 
 Each builder turns a :class:`~repro.campaign.spec.ScenarioSpec` into a
 ready-to-run scenario inside a caller-provided
@@ -12,30 +12,13 @@ contract:
   (dates, checksums, counters — never wall-clock), because the campaign
   guarantees byte-identical aggregated results regardless of worker count.
 
-``params`` keys per workload:
-
-* ``writer_reader`` — ``values`` (count of transferred values);
-* ``streaming`` — ``n_blocks``, ``words_per_block``;
-* ``video`` — ``n_frames``, ``macroblocks_per_frame``;
-* ``random_traffic`` — any :class:`RandomTrafficConfig` field except
-  ``seed``/``fifo_depth`` (taken from the spec);
-* ``bursty`` — any :class:`BurstyConfig` field except ``seed``/``fifo_depth``;
-* ``contention`` — any :class:`ContentionConfig` field except
-  ``seed``/``fifo_depth``;
-* ``soc`` — ``n_chains``, ``workers_per_chain``, ``items_per_chain``,
-  ``packet_size``;
-* ``noc_stress`` — any :class:`NocStressConfig` field except
-  ``seed``/``fifo_depth``;
-* ``packet_stream`` — any :class:`PacketStreamConfig` field except
-  ``seed``/``fifo_depth``;
-* ``mixed`` — any :class:`MixedTopologyConfig` field except
-  ``seed``/``fifo_depth``.
+Each workload's accepted ``params`` keys are listed in the static
+registry of :mod:`repro.campaign.spec`, which
+:func:`~repro.campaign.spec.build_scenario` checks before calling a
+builder.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
-from typing import List
 
 from ..kernel.simtime import TimeUnit
 from ..kernel.simulator import Simulator
@@ -56,14 +39,7 @@ from ..workloads.streaming import (
     WriterReaderExample,
 )
 from ..workloads.video import VideoConfig, VideoPipeline
-from .spec import (
-    MODE_REFERENCE,
-    MODE_SMART,
-    BuiltScenario,
-    ScenarioSpec,
-    register_workload,
-    workload_entry,
-)
+from .spec import MODE_SMART, BuiltScenario, ScenarioSpec
 
 
 def _ns(time) -> float:
@@ -78,34 +54,17 @@ def _reject_timing_override(spec: ScenarioSpec) -> None:
         )
 
 
-def _config_param_keys(config_cls) -> tuple:
-    """Param keys for config-dataclass workloads: every field except the
-    ones the spec itself carries (seed, fifo_depth)."""
-    return tuple(
-        key
-        for key in config_cls.__dataclass_fields__
-        if key not in ("seed", "fifo_depth")
-    )
-
-
 def _config_from_spec(config_cls, spec: ScenarioSpec):
-    """Build a seed/depth-carrying workload config from the spec params."""
-    fields = {
-        key: int(value)
-        for key, value in spec.params.items()
-        if key in _config_param_keys(config_cls)
-    }
+    """Build a seed/depth-carrying workload config from the spec params
+    (which :func:`~repro.campaign.spec.build_scenario` has checked against
+    the workload's ``param_keys``)."""
+    fields = {key: int(value) for key, value in spec.params.items()}
     return config_cls(seed=spec.seed, fifo_depth=spec.depth, **fields)
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
-@register_workload(
-    "writer_reader",
-    description="Fig. 1/2/3 didactic writer/reader example",
-    param_keys=("values",),
-)
 def build_writer_reader(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
     mode = ExampleMode.SMART if spec.mode == MODE_SMART else ExampleMode.REFERENCE
@@ -121,11 +80,6 @@ def build_writer_reader(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "streaming",
-    description="Fig. 5 source -> transmitter -> sink pipeline",
-    param_keys=("n_blocks", "words_per_block"),
-)
 def build_streaming(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     config = StreamingConfig(
         n_blocks=int(spec.params.get("n_blocks", 10)),
@@ -152,11 +106,6 @@ def build_streaming(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "video",
-    description="video-decoder-like accelerator chain",
-    param_keys=("n_frames", "macroblocks_per_frame"),
-)
 def build_video(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
     config = VideoConfig(
@@ -181,11 +130,6 @@ def build_video(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "random_traffic",
-    description="seeded random producer/consumer + monitor",
-    param_keys=_config_param_keys(RandomTrafficConfig),
-)
 def build_random_traffic(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
     config = _config_from_spec(RandomTrafficConfig, spec)
@@ -208,11 +152,6 @@ def build_random_traffic(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "bursty",
-    description="seeded bursty producer, steady consumer",
-    param_keys=_config_param_keys(BurstyConfig),
-)
 def build_bursty(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
     config = _config_from_spec(BurstyConfig, spec)
@@ -229,12 +168,6 @@ def build_bursty(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "contention",
-    pairable=False,
-    description="multi-writer/multi-reader Smart FIFO arbiter contention",
-    param_keys=_config_param_keys(ContentionConfig),
-)
 def build_contention(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
     if spec.mode != MODE_SMART:
@@ -262,11 +195,6 @@ def build_contention(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "fault_drop",
-    description="seeded dropped-packet fault the paired diff must flag",
-    param_keys=_config_param_keys(FaultDropConfig),
-)
 def build_fault_drop(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     """Negative-path coverage for the Section IV-A methodology.
 
@@ -292,11 +220,6 @@ def build_fault_drop(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "noc_stress",
-    description="NoC-only router stress: mesh cross-traffic, arbitration oracle",
-    param_keys=_config_param_keys(NocStressConfig),
-)
 def build_noc_stress(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
     config = _config_from_spec(NocStressConfig, spec)
@@ -318,11 +241,6 @@ def build_noc_stress(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "packet_stream",
-    description="packet-granularity Smart FIFO API vs a word-level oracle",
-    param_keys=_config_param_keys(PacketStreamConfig),
-)
 def build_packet_stream(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
     config = _config_from_spec(PacketStreamConfig, spec)
@@ -341,11 +259,6 @@ def build_packet_stream(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "mixed",
-    description="mixed smart/regular topology with one domain boundary",
-    param_keys=_config_param_keys(MixedTopologyConfig),
-)
 def build_mixed(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
     config = _config_from_spec(MixedTopologyConfig, spec)
@@ -363,12 +276,6 @@ def build_mixed(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-@register_workload(
-    "soc",
-    pairable=False,
-    description="Section IV-C heterogeneous many-core SoC case study",
-    param_keys=("n_chains", "workers_per_chain", "items_per_chain", "packet_size"),
-)
 def build_soc(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
     config = SocConfig(
@@ -397,80 +304,18 @@ def build_soc(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     )
 
 
-def build_scenario(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
-    """Validate ``spec`` (including its params keys) and build it in ``sim``."""
-    spec.validate()
-    entry = workload_entry(spec.workload)
-    unknown = sorted(set(spec.params) - set(entry.param_keys))
-    if unknown:
-        raise ValueError(
-            f"spec {spec.name}: unknown param(s) {', '.join(unknown)} for "
-            f"workload {spec.workload!r}; accepted: "
-            f"{', '.join(entry.param_keys) or '(none)'}"
-        )
-    return entry.builder(sim, spec)
-
-
-# ---------------------------------------------------------------------------
-# The default campaign
-# ---------------------------------------------------------------------------
-def default_campaign(burst: bool = True) -> List[ScenarioSpec]:
-    """The stock sweep: every registered workload, several depths/seeds.
-
-    ``burst=True`` (the default) lets the workload helpers move Smart FIFO
-    payloads as spans — bit-exact with the word-by-word schedule, so
-    fingerprints are unchanged; ``burst=False`` (CLI: ``--no-burst``) makes
-    the same helpers run their word loop, the oracle the span path is
-    checked against.
-
-    19 specs; the 15 pairable ones double as the Section IV-A equivalence
-    battery (reference vs Smart trace diff) — including the NoC router
-    stress, the packet-granularity FIFO stream and the mixed smart/regular
-    topology, which cover the case-study half of the paper.  The four
-    non-pairable ones carry their own oracles: the contention specs are
-    checked by the arbiter invariants, the quantum spec by its completion
-    bookkeeping, and the SoC spec by ``SocPlatform.verify`` (its
-    cross-policy timing equivalence is asserted by the integration suite
-    and the case-study benchmark, which compare finish dates rather than
-    traces).
-    """
-    specs = [
-        ScenarioSpec("writer_reader_d1", "writer_reader", depth=1),
-        ScenarioSpec("writer_reader_d4", "writer_reader", depth=4,
-                     params={"values": 6}),
-        ScenarioSpec("streaming_d2", "streaming", depth=2,
-                     params={"n_blocks": 6, "words_per_block": 25}),
-        ScenarioSpec("streaming_d8", "streaming", depth=8,
-                     params={"n_blocks": 6, "words_per_block": 25}),
-        ScenarioSpec("streaming_quantum_d8", "streaming", depth=8,
-                     timing="quantum", quantum_ns=1000,
-                     params={"n_blocks": 6, "words_per_block": 25}),
-        ScenarioSpec("video_d2", "video", depth=2,
-                     params={"n_frames": 2, "macroblocks_per_frame": 12}),
-        ScenarioSpec("video_d8", "video", depth=8,
-                     params={"n_frames": 3, "macroblocks_per_frame": 16}),
-        ScenarioSpec("random_s7_d3", "random_traffic", depth=3, seed=7),
-        ScenarioSpec("random_s11_d1", "random_traffic", depth=1, seed=11),
-        ScenarioSpec("bursty_s3_d4", "bursty", depth=4, seed=3),
-        ScenarioSpec("bursty_s5_d2", "bursty", depth=2, seed=5),
-        ScenarioSpec("contention_3w3r", "contention", depth=8, seed=5),
-        ScenarioSpec("contention_4w3r", "contention", depth=6, seed=9,
-                     params={"n_writers": 4, "items_per_writer": 15}),
-        ScenarioSpec("noc_stress_2x2", "noc_stress", depth=4, seed=5,
-                     params={"packets_per_stream": 4}),
-        ScenarioSpec("noc_stress_3x2", "noc_stress", depth=4, seed=11,
-                     params={"mesh_width": 3, "packets_per_stream": 4}),
-        ScenarioSpec("packet_stream_p2", "packet_stream", depth=4, seed=7),
-        ScenarioSpec("packet_stream_p4", "packet_stream", depth=4, seed=13,
-                     params={"packet_size": 4, "n_packets": 8}),
-        ScenarioSpec("mixed_d3", "mixed", depth=3, seed=6,
-                     params={"item_count": 24}),
-        ScenarioSpec("soc_2x64", "soc", depth=8,
-                     params={"n_chains": 2, "items_per_chain": 64}),
-    ]
-    if burst:
-        specs = [
-            replace(spec, burst=True, params=dict(spec.params))
-            for spec in specs
-        ]
-    return specs
+#: Builder of every workload, keyed like the registry of
+#: :mod:`repro.campaign.spec` (which loads this table on first use).
+BUILDERS = {
+    "writer_reader": build_writer_reader,
+    "streaming": build_streaming,
+    "video": build_video,
+    "random_traffic": build_random_traffic,
+    "bursty": build_bursty,
+    "contention": build_contention,
+    "fault_drop": build_fault_drop,
+    "noc_stress": build_noc_stress,
+    "packet_stream": build_packet_stream,
+    "mixed": build_mixed,
+    "soc": build_soc,
+}

@@ -13,8 +13,8 @@ processes, each worker builds a fresh :class:`~repro.kernel.simulator
     Unique identifier of the spec inside a campaign; used to sort the
     aggregated results, so two specs of one campaign may not share a name.
 ``workload``
-    Key into the workload registry (see :func:`register_workload`); one of
-    :func:`registered_workloads`, e.g. ``"streaming"``, ``"video"``,
+    Key into the static workload registry (see :class:`WorkloadEntry`); one
+    of :func:`registered_workloads`, e.g. ``"streaming"``, ``"video"``,
     ``"random_traffic"``, ``"bursty"``, ``"contention"``, ``"soc"``,
     ``"writer_reader"``, ``"noc_stress"``, ``"packet_stream"``,
     ``"mixed"``.
@@ -65,7 +65,10 @@ of ``spec.with_mode(mode)``, recombined at aggregation by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from ..kernel.simulator import Simulator
 
 MODE_REFERENCE = "reference"
 MODE_SMART = "smart"
@@ -159,41 +162,106 @@ class BuiltScenario:
 
 @dataclass(frozen=True)
 class WorkloadEntry:
-    """Registry entry: how to build a workload and what it supports."""
+    """Registry entry: what a workload supports.
+
+    Pure data, so listing, validating and partitioning specs never imports
+    a workload; the builders live in :mod:`repro.campaign.scenarios` and
+    load on the first :func:`build_scenario`.
+    """
 
     key: str
-    builder: Callable  # (Simulator, ScenarioSpec) -> BuiltScenario
     pairable: bool = True
     description: str = ""
     #: Names accepted in ``ScenarioSpec.params`` for this workload; a spec
     #: carrying any other key is rejected instead of silently running the
-    #: default scenario under a typoed sweep parameter.
+    #: default scenario under a typoed sweep parameter.  For a workload
+    #: built from a config dataclass: every field but ``seed`` and
+    #: ``fifo_depth``, which the spec itself carries.
     param_keys: Tuple[str, ...] = ()
 
 
-_REGISTRY: Dict[str, WorkloadEntry] = {}
-
-
-def register_workload(
-    key: str,
-    *,
-    pairable: bool = True,
-    description: str = "",
-    param_keys: Tuple[str, ...] = (),
-):
-    """Decorator registering a builder under ``key`` (last wins)."""
-
-    def decorate(builder: Callable) -> Callable:
-        _REGISTRY[key] = WorkloadEntry(
-            key=key,
-            builder=builder,
-            pairable=pairable,
-            description=description,
-            param_keys=tuple(param_keys),
-        )
-        return builder
-
-    return decorate
+_REGISTRY: Dict[str, WorkloadEntry] = {
+    entry.key: entry
+    for entry in (
+        WorkloadEntry(
+            "writer_reader",
+            description="Fig. 1/2/3 didactic writer/reader example",
+            param_keys=("values",),
+        ),
+        WorkloadEntry(
+            "streaming",
+            description="Fig. 5 source -> transmitter -> sink pipeline",
+            param_keys=("n_blocks", "words_per_block"),
+        ),
+        WorkloadEntry(
+            "video",
+            description="video-decoder-like accelerator chain",
+            param_keys=("n_frames", "macroblocks_per_frame"),
+        ),
+        WorkloadEntry(
+            "random_traffic",
+            description="seeded random producer/consumer + monitor",
+            param_keys=(
+                "item_count", "max_producer_delay_ns", "max_consumer_delay_ns",
+                "monitor_samples", "monitor_period_ns",
+            ),
+        ),
+        WorkloadEntry(
+            "bursty",
+            description="seeded bursty producer, steady consumer",
+            param_keys=(
+                "n_bursts", "max_burst", "word_time_ns", "min_idle_ns",
+                "max_idle_ns", "consumer_time_ns", "slow_spin_ms",
+            ),
+        ),
+        WorkloadEntry(
+            "contention",
+            pairable=False,
+            description="multi-writer/multi-reader Smart FIFO arbiter contention",
+            param_keys=(
+                "n_writers", "n_readers", "items_per_writer", "access_time_ns",
+                "max_writer_gap_ns", "max_reader_gap_ns",
+            ),
+        ),
+        WorkloadEntry(
+            "fault_drop",
+            description="seeded dropped-packet fault the paired diff must flag",
+            param_keys=("item_count", "producer_period_ns", "consumer_period_ns"),
+        ),
+        WorkloadEntry(
+            "noc_stress",
+            description="NoC-only router stress: mesh cross-traffic, arbitration oracle",
+            param_keys=(
+                "mesh_width", "mesh_height", "packets_per_stream", "packet_size",
+                "noc_cycle_ns", "max_producer_gap_ns", "max_consumer_gap_ns",
+            ),
+        ),
+        WorkloadEntry(
+            "packet_stream",
+            description="packet-granularity Smart FIFO API vs a word-level oracle",
+            param_keys=(
+                "n_packets", "packet_size", "max_producer_gap_ns",
+                "max_consumer_gap_ns",
+            ),
+        ),
+        WorkloadEntry(
+            "mixed",
+            description="mixed smart/regular topology with one domain boundary",
+            param_keys=(
+                "item_count", "back_depth", "max_producer_gap_ns",
+                "max_bridge_gap_ns", "max_consumer_gap_ns",
+            ),
+        ),
+        WorkloadEntry(
+            "soc",
+            pairable=False,
+            description="Section IV-C heterogeneous many-core SoC case study",
+            param_keys=(
+                "n_chains", "workers_per_chain", "items_per_chain", "packet_size",
+            ),
+        ),
+    )
+}
 
 
 def workload_entry(key: str) -> WorkloadEntry:
@@ -228,3 +296,93 @@ def describe_specs(specs: List[ScenarioSpec]) -> List[Dict[str, object]]:
         )
         rows.append(row)
     return rows
+
+
+def workload_builders() -> Dict[str, Callable]:
+    """Every workload's builder, keyed like the registry.
+
+    The first call imports :mod:`repro.campaign.scenarios` and with it every
+    workload module (kernel, FIFOs, SoC, TLM).
+    """
+    from .scenarios import BUILDERS
+
+    return BUILDERS
+
+
+def build_scenario(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
+    """Validate ``spec`` (including its params keys) and build it in ``sim``."""
+    spec.validate()
+    entry = workload_entry(spec.workload)
+    unknown = sorted(set(spec.params) - set(entry.param_keys))
+    if unknown:
+        raise ValueError(
+            f"spec {spec.name}: unknown param(s) {', '.join(unknown)} for "
+            f"workload {spec.workload!r}; accepted: "
+            f"{', '.join(entry.param_keys) or '(none)'}"
+        )
+    return workload_builders()[spec.workload](sim, spec)
+
+
+# ---------------------------------------------------------------------------
+# The default campaign
+# ---------------------------------------------------------------------------
+def default_campaign(burst: bool = True) -> List[ScenarioSpec]:
+    """The stock sweep: every registered workload, several depths/seeds.
+
+    ``burst=True`` (the default) lets the workload helpers move Smart FIFO
+    payloads as spans — bit-exact with the word-by-word schedule, so
+    fingerprints are unchanged; ``burst=False`` (CLI: ``--no-burst``) makes
+    the same helpers run their word loop, the oracle the span path is
+    checked against.
+
+    19 specs; the 15 pairable ones double as the Section IV-A equivalence
+    battery (reference vs Smart trace diff) — including the NoC router
+    stress, the packet-granularity FIFO stream and the mixed smart/regular
+    topology, which cover the case-study half of the paper.  The four
+    non-pairable ones carry their own oracles: the contention specs are
+    checked by the arbiter invariants, the quantum spec by its completion
+    bookkeeping, and the SoC spec by ``SocPlatform.verify`` (its
+    cross-policy timing equivalence is asserted by the integration suite
+    and the case-study benchmark, which compare finish dates rather than
+    traces).
+    """
+    specs = [
+        ScenarioSpec("writer_reader_d1", "writer_reader", depth=1),
+        ScenarioSpec("writer_reader_d4", "writer_reader", depth=4,
+                     params={"values": 6}),
+        ScenarioSpec("streaming_d2", "streaming", depth=2,
+                     params={"n_blocks": 6, "words_per_block": 25}),
+        ScenarioSpec("streaming_d8", "streaming", depth=8,
+                     params={"n_blocks": 6, "words_per_block": 25}),
+        ScenarioSpec("streaming_quantum_d8", "streaming", depth=8,
+                     timing="quantum", quantum_ns=1000,
+                     params={"n_blocks": 6, "words_per_block": 25}),
+        ScenarioSpec("video_d2", "video", depth=2,
+                     params={"n_frames": 2, "macroblocks_per_frame": 12}),
+        ScenarioSpec("video_d8", "video", depth=8,
+                     params={"n_frames": 3, "macroblocks_per_frame": 16}),
+        ScenarioSpec("random_s7_d3", "random_traffic", depth=3, seed=7),
+        ScenarioSpec("random_s11_d1", "random_traffic", depth=1, seed=11),
+        ScenarioSpec("bursty_s3_d4", "bursty", depth=4, seed=3),
+        ScenarioSpec("bursty_s5_d2", "bursty", depth=2, seed=5),
+        ScenarioSpec("contention_3w3r", "contention", depth=8, seed=5),
+        ScenarioSpec("contention_4w3r", "contention", depth=6, seed=9,
+                     params={"n_writers": 4, "items_per_writer": 15}),
+        ScenarioSpec("noc_stress_2x2", "noc_stress", depth=4, seed=5,
+                     params={"packets_per_stream": 4}),
+        ScenarioSpec("noc_stress_3x2", "noc_stress", depth=4, seed=11,
+                     params={"mesh_width": 3, "packets_per_stream": 4}),
+        ScenarioSpec("packet_stream_p2", "packet_stream", depth=4, seed=7),
+        ScenarioSpec("packet_stream_p4", "packet_stream", depth=4, seed=13,
+                     params={"packet_size": 4, "n_packets": 8}),
+        ScenarioSpec("mixed_d3", "mixed", depth=3, seed=6,
+                     params={"item_count": 24}),
+        ScenarioSpec("soc_2x64", "soc", depth=8,
+                     params={"n_chains": 2, "items_per_chain": 64}),
+    ]
+    if burst:
+        specs = [
+            replace(spec, burst=True, params=dict(spec.params))
+            for spec in specs
+        ]
+    return specs

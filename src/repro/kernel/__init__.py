@@ -7,130 +7,35 @@ temporal-decoupling layer (:mod:`repro.td`) and the FIFO library
 (:mod:`repro.fifo`) are built on top of it.
 """
 
-from .channel import PrimitiveChannel
-from .context import (
-    clear_current_simulator,
-    current_process,
-    current_simulator,
-    current_simulator_or_none,
-    sc_time_stamp,
-    set_current_simulator,
-)
-from .errors import (
-    BindingError,
-    ElaborationError,
-    FifoError,
-    ProcessError,
-    SchedulingError,
-    SimulationError,
-    TimingError,
-    TlmError,
-)
-from .event import Event, EventList, all_of, any_of
-from .module import Module
-from .port import Port
-from .process import (
-    MethodProcess,
-    ThreadProcess,
-    Timeout,
-    WaitDescriptor,
-    WaitEvent,
-    WaitEventList,
-    WaitEventOrTimeout,
-)
-from .signal import Signal
-from .simtime import (
-    FS,
-    MS,
-    NS,
-    PS,
-    SEC,
-    US,
-    SimTime,
-    TimeUnit,
-    ZERO_TIME,
-    as_time,
-    fs,
-    ms,
-    ns,
-    ps,
-    sec,
-    us,
-)
-from .simulator import Simulator, simulate
-from .stats import KernelStats
-from .tracing import (
-    DigestSink,
-    ListSink,
-    NullSink,
-    SINK_KINDS,
-    SpoolSink,
-    TraceCollector,
-    TraceRecord,
-    TraceSink,
-    VcdWriter,
-    make_sink,
-    trace_lines_digest,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BindingError",
-    "ElaborationError",
-    "Event",
-    "EventList",
-    "FifoError",
-    "FS",
-    "KernelStats",
-    "MethodProcess",
-    "Module",
-    "MS",
-    "NS",
-    "Port",
-    "PrimitiveChannel",
-    "ProcessError",
-    "PS",
-    "SchedulingError",
-    "SEC",
-    "Signal",
-    "SimTime",
-    "SimulationError",
-    "Simulator",
-    "DigestSink",
-    "ListSink",
-    "NullSink",
-    "SINK_KINDS",
-    "SpoolSink",
-    "TraceSink",
-    "make_sink",
-    "trace_lines_digest",
-    "ThreadProcess",
-    "Timeout",
-    "TimeUnit",
-    "TimingError",
-    "TlmError",
-    "TraceCollector",
-    "TraceRecord",
-    "US",
-    "VcdWriter",
-    "WaitDescriptor",
-    "WaitEvent",
-    "WaitEventList",
-    "WaitEventOrTimeout",
-    "ZERO_TIME",
-    "all_of",
-    "any_of",
-    "as_time",
-    "clear_current_simulator",
-    "current_process",
-    "current_simulator",
-    "current_simulator_or_none",
-    "fs",
-    "ms",
-    "ns",
-    "ps",
-    "sc_time_stamp",
-    "sec",
-    "set_current_simulator",
-    "simulate",
-    "us",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".channel": ("PrimitiveChannel",),
+    ".context": (
+        "clear_current_simulator", "current_process", "current_simulator",
+        "current_simulator_or_none", "sc_time_stamp", "set_current_simulator",
+    ),
+    ".errors": (
+        "BindingError", "ElaborationError", "FifoError", "ProcessError",
+        "SchedulingError", "SimulationError", "TimingError", "TlmError",
+    ),
+    ".event": ("Event", "EventList", "all_of", "any_of"),
+    ".module": ("Module",),
+    ".port": ("Port",),
+    ".process": (
+        "MethodProcess", "ThreadProcess", "Timeout", "WaitDescriptor",
+        "WaitEvent", "WaitEventList", "WaitEventOrTimeout",
+    ),
+    ".signal": ("Signal",),
+    ".simtime": (
+        "FS", "MS", "NS", "PS", "SEC", "US", "SimTime", "TimeUnit",
+        "ZERO_TIME", "as_time", "fs", "ms", "ns", "ps", "sec", "us",
+    ),
+    ".simulator": ("Simulator", "simulate"),
+    ".stats": ("KernelStats",),
+    ".tracing": (
+        "DigestSink", "ListSink", "NullSink", "SINK_KINDS", "SpoolSink",
+        "TraceCollector", "TraceRecord", "TraceSink", "VcdWriter",
+        "make_sink", "trace_lines_digest",
+    ),
+})

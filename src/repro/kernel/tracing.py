@@ -437,6 +437,10 @@ _SINK_FACTORIES = {
 #: Sink kinds selectable by name (CLI ``--trace-sink``, campaign runner).
 SINK_KINDS = tuple(sorted(_SINK_FACTORIES))
 
+#: Sink kind run by campaign workers unless overridden: digests stream out
+#: of the simulation without the trace ever being materialized.
+DEFAULT_TRACE_SINK = "digest"
+
 
 def make_sink(kind: str) -> TraceSink:
     """Build a fresh sink of the named kind (see :data:`SINK_KINDS`)."""

@@ -5,30 +5,14 @@ See :mod:`repro.telemetry.core` for the event layer and sideband schema,
 and :mod:`repro.telemetry.progress` for the ``--progress`` stderr ticker.
 """
 
-from .core import (
-    DEFAULT_BUFFER_LIMIT,
-    NULL_TELEMETRY,
-    TELEMETRY_SCHEMA,
-    NullTelemetry,
-    Telemetry,
-    load_events,
-    merge_telemetry_files,
-    telemetry_files,
-)
-from .progress import ProgressTicker
-from .report import TelemetryAggregate, aggregate_telemetry, render_report
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUFFER_LIMIT",
-    "NULL_TELEMETRY",
-    "TELEMETRY_SCHEMA",
-    "NullTelemetry",
-    "Telemetry",
-    "ProgressTicker",
-    "TelemetryAggregate",
-    "aggregate_telemetry",
-    "load_events",
-    "merge_telemetry_files",
-    "render_report",
-    "telemetry_files",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "DEFAULT_BUFFER_LIMIT", "NULL_TELEMETRY", "TELEMETRY_SCHEMA",
+        "NullTelemetry", "Telemetry", "load_events", "merge_telemetry_files",
+        "telemetry_files",
+    ),
+    ".progress": ("ProgressTicker",),
+    ".report": ("TelemetryAggregate", "aggregate_telemetry", "render_report"),
+})

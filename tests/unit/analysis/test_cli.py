@@ -155,6 +155,30 @@ class TestCampaignCommand:
         output = capsys.readouterr().out
         assert "0 pairs" in output
 
+    def test_auto_replay_on_a_paired_campaign_says_it_routed_nothing(
+        self, capsys
+    ):
+        argv = ["campaign", "--specs", "writer_reader_d1,streaming_d2"]
+
+        def fingerprint(output):
+            return [
+                line for line in output.splitlines()
+                if line.startswith("campaign fingerprint:")
+            ]
+
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr()
+        assert cli.main(argv + ["--auto-replay"]) == 0
+        routed = capsys.readouterr()
+        assert routed.err == (
+            "auto-replay routed 0 of 2 specs: paired specs are never "
+            "replayed (add --no-paired)\n"
+        )
+        assert plain.err == ""
+        assert fingerprint(routed.out) == fingerprint(plain.out) != []
+        assert cli.main(argv + ["--auto-replay", "--no-paired"]) == 0
+        assert "auto-replay routed" not in capsys.readouterr().err
+
 
 class TestCampaignScaleOutFlags:
     """``--workers``/``--shard`` validation and ``--jsonl``/``--merge-jsonl``."""

@@ -77,6 +77,38 @@ class TestRegistry:
             entry = workload_entry(key)
             assert entry.param_keys, f"{key} accepts no params?"
 
+    @pytest.mark.parametrize(
+        "key, config_path",
+        [
+            ("random_traffic", "repro.workloads.random_traffic:RandomTrafficConfig"),
+            ("bursty", "repro.workloads.bursty:BurstyConfig"),
+            ("contention", "repro.workloads.contention:ContentionConfig"),
+            ("fault_drop", "repro.workloads.fault_drop:FaultDropConfig"),
+            ("noc_stress", "repro.workloads.noc_stress:NocStressConfig"),
+            ("packet_stream", "repro.workloads.packet_stream:PacketStreamConfig"),
+            ("mixed", "repro.workloads.mixed:MixedTopologyConfig"),
+        ],
+    )
+    def test_literal_param_keys_match_the_config_fields(self, key, config_path):
+        """The registry spells param keys out so listing specs needs no
+        workload import; they must stay the config's fields minus the two
+        the spec carries itself."""
+        import dataclasses
+        import importlib
+
+        module, name = config_path.split(":")
+        config_cls = getattr(importlib.import_module(module), name)
+        fields = tuple(
+            field.name for field in dataclasses.fields(config_cls)
+            if field.name not in ("seed", "fifo_depth")
+        )
+        assert workload_entry(key).param_keys == fields
+
+    def test_metadata_and_builders_cover_the_same_workloads(self):
+        from repro.campaign.spec import workload_builders
+
+        assert sorted(workload_builders()) == list(registered_workloads())
+
     def test_pairability_rules(self):
         assert spec_is_pairable(ScenarioSpec("a", "streaming"))
         assert spec_is_pairable(ScenarioSpec("b", "bursty"))

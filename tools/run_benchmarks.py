@@ -17,6 +17,11 @@ The emitted document contains a flat ``metrics`` map (see
 ``benchmarks/bench_harness.py`` for the names and their direction), a
 per-scenario ``detail`` section, and — when a baseline was found — a
 ``comparison`` section with one speedup row per metric.
+
+Most scenarios time in-process layers.  The ``startup`` scenario times
+what a user waits for before anything simulates: fresh interpreters
+running ``campaign --list``, ``campaign --merge-jsonl`` and ``import
+repro.analysis.cli`` (``startup.*``, advisory in the gate).
 """
 
 from __future__ import annotations
