@@ -79,7 +79,7 @@ from typing import List, Optional, Sequence, Tuple
 # Only what every subcommand's parser and ``campaign --list`` need is
 # imported here; each handler imports the code it runs, so listing specs
 # never loads the simulator and merging rows never loads a workload.
-from ..campaign.spec import default_campaign, describe_specs, spec_is_pairable
+from ..campaign.spec import default_campaign, describe_specs
 from ..kernel.tracing import DEFAULT_TRACE_SINK, SINK_KINDS
 from .reporting import dict_rows_table, write_csv
 
@@ -889,15 +889,10 @@ def run_campaign(args: argparse.Namespace) -> str:
         # Only resume problems get the friendly one-liner; a ValueError
         # from inside a simulation is a real bug and keeps its traceback.
         raise SystemExit(f"cannot resume campaign: {exc}")
-    if (
-        args.auto_replay
-        and not args.no_paired
-        and any(spec_is_pairable(spec) for spec in specs)
-        and not any(run.evaluator == "replay" for run in result.runs)
-    ):
+    if result.replay_paired_skips:
         print(
-            f"auto-replay routed 0 of {len(specs)} specs: paired specs are "
-            "never replayed (add --no-paired)",
+            f"auto-replay routed 0 of {result.replay_considered} specs: "
+            "paired specs are never replayed (add --no-paired)",
             file=sys.stderr,
         )
     if args.record_costs:

@@ -89,21 +89,21 @@ from typing import (
 from ..analysis.reporting import dict_rows_table
 from ..kernel.tracing import DEFAULT_TRACE_SINK, SINK_KINDS, make_sink
 from ..telemetry.core import NULL_TELEMETRY, Telemetry, merge_telemetry_files
-from .orchestrator.budget import TimeoutRecord
+from ..telemetry.progress import ProgressTicker
+from .orchestrator.budget import RunBudget, TimeoutRecord, run_in_pool
+from .orchestrator.costs import CostModel
+from .orchestrator.partition import cost_shards
 from .spec import (
     MODE_REFERENCE,
     MODE_SMART,
     ScenarioSpec,
     build_scenario,
     spec_is_pairable,
-    workload_builders,
+    workload_builder,
 )
 
 if TYPE_CHECKING:
     from ..kernel.simulator import Simulator
-    from ..telemetry.progress import ProgressTicker
-    from .orchestrator.budget import RunBudget
-    from .orchestrator.costs import CostModel
 
 #: File name of the merged telemetry sideband inside ``--telemetry DIR``.
 MERGED_TELEMETRY = "telemetry.jsonl"
@@ -934,6 +934,11 @@ class CampaignResult:
     #: Budget-killed jobs (see :class:`~repro.campaign.orchestrator.budget
     #: .TimeoutRecord`); empty for an unbudgeted or on-budget campaign.
     timeouts: List[TimeoutRecord] = field(default_factory=list)
+    #: What the ``auto_replay`` pass saw: the specs it considered, and the
+    #: specs it left to simulation only because they are paired although
+    #: they share a sweep group — counted only when it routed nothing.
+    replay_considered: int = 0
+    replay_paired_skips: int = 0
 
     @property
     def all_pairs_equivalent(self) -> bool:
@@ -1229,11 +1234,13 @@ class CampaignRunner:
     def _auto_replay_pass(self, specs: Sequence[ScenarioSpec], sink=None):
         """Route sweep groups through record-and-replay (see ``auto_replay``).
 
-        Returns ``(remaining_specs, rows)``: the specs that must still be
-        simulated by the normal job path, and the rows produced here (one
-        plain simulated row per recorded anchor, one replay-tagged row per
-        successfully replayed point).  Persisted to ``sink`` immediately,
-        like pool results.
+        Returns ``(remaining_specs, rows, paired_skips)``: the specs that
+        must still be simulated by the normal job path, the rows produced
+        here (one plain simulated row per recorded anchor, one
+        replay-tagged row per successfully replayed point), and — when no
+        spec was routed — how many specs share a sweep group but were left
+        to simulation only because they are paired (0 otherwise).  Rows
+        are persisted to ``sink`` immediately, like pool results.
         """
         # Imported here: evaluators imports execute_spec/_record_from from
         # this module, so a module-level import would be circular.
@@ -1249,10 +1256,12 @@ class CampaignRunner:
 
         telemetry = self._telemetry
         groups: Dict[Tuple[object, ...], List[ScenarioSpec]] = {}
+        paired_groups: Dict[Tuple[object, ...], List[ScenarioSpec]] = {}
         for spec in specs:
-            if self.paired and spec_is_pairable(spec):
-                continue  # pairs diff traces; replay rows carry none
-            groups.setdefault(replay_group_key(spec), []).append(spec)
+            # Pairs diff traces; replay rows carry none.
+            skip = self.paired and spec_is_pairable(spec)
+            by_key = paired_groups if skip else groups
+            by_key.setdefault(replay_group_key(spec), []).append(spec)
         routed: Dict[str, SpecRunRecord] = {}
         for members in groups.values():
             if len(members) < 2:
@@ -1317,7 +1326,11 @@ class CampaignRunner:
             for row in rows:
                 sink.write(row)
         remaining = [spec for spec in specs if spec.name not in routed]
-        return remaining, rows
+        paired_skips = 0 if routed else sum(
+            len(members) for members in paired_groups.values()
+            if len(members) > 1
+        )
+        return remaining, rows, paired_skips
 
     # ------------------------------------------------------------------
     def _execute(
@@ -1468,8 +1481,6 @@ class CampaignRunner:
         campaign_specs = specs
         if self.shard is not None:
             if self.shard_by_cost:
-                from .orchestrator.partition import cost_shards
-
                 shards = cost_shards(
                     campaign_specs,
                     self.shard[1],
@@ -1514,8 +1525,6 @@ class CampaignRunner:
             )
         self._telemetry = telemetry
         if self.progress:
-            from ..telemetry.progress import ProgressTicker
-
             costs = None
             if self.cost_model is not None:
                 costs = {
@@ -1556,19 +1565,22 @@ class CampaignRunner:
                 telemetry.gauge("campaign.specs_total", len(campaign_specs))
                 telemetry.gauge("campaign.specs_todo", len(specs))
             replay_rows: List[SpecRunRecord] = []
+            replay_considered = replay_paired_skips = 0
             if self.auto_replay and specs:
-                specs, replay_rows = self._auto_replay_pass(specs, sink=sink)
+                replay_considered = len(specs)
+                specs, replay_rows, replay_paired_skips = (
+                    self._auto_replay_pass(specs, sink=sink)
+                )
             if specs:
                 # Before the pool forks: workers inherit the workload
                 # modules instead of each compiling its own copy.
-                workload_builders()
+                for workload in {spec.workload for spec in specs}:
+                    workload_builder(workload)
             if self.workers == 1 and not (
                 self.budget is not None and self.budget.active
             ):
                 mapper = map
             else:
-                from .orchestrator.budget import run_in_pool
-
                 # A wall-clock limit on an inline simulation would need
                 # cooperation from the overrunning code — exactly what a
                 # stuck spec does not give — so a budget always runs in
@@ -1605,4 +1617,6 @@ class CampaignRunner:
             wall_seconds=wall,
             shard=self.shard,
             timeouts=timeouts,
+            replay_considered=replay_considered,
+            replay_paired_skips=replay_paired_skips,
         )

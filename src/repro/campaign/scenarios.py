@@ -12,8 +12,9 @@ contract:
   (dates, checksums, counters — never wall-clock), because the campaign
   guarantees byte-identical aggregated results regardless of worker count.
 
-Each workload's accepted ``params`` keys are listed in the static
-registry of :mod:`repro.campaign.spec`, which
+Workload ``key`` is built by ``build_<key>``.  Each workload's accepted
+``params`` keys are listed in the static registry of
+:mod:`repro.campaign.spec`, which
 :func:`~repro.campaign.spec.build_scenario` checks before calling a
 builder.
 """
@@ -303,19 +304,3 @@ def build_soc(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
         },
     )
 
-
-#: Builder of every workload, keyed like the registry of
-#: :mod:`repro.campaign.spec` (which loads this table on first use).
-BUILDERS = {
-    "writer_reader": build_writer_reader,
-    "streaming": build_streaming,
-    "video": build_video,
-    "random_traffic": build_random_traffic,
-    "bursty": build_bursty,
-    "contention": build_contention,
-    "fault_drop": build_fault_drop,
-    "noc_stress": build_noc_stress,
-    "packet_stream": build_packet_stream,
-    "mixed": build_mixed,
-    "soc": build_soc,
-}

@@ -298,15 +298,16 @@ def describe_specs(specs: List[ScenarioSpec]) -> List[Dict[str, object]]:
     return rows
 
 
-def workload_builders() -> Dict[str, Callable]:
-    """Every workload's builder, keyed like the registry.
+def workload_builder(key: str) -> Callable:
+    """The builder of workload ``key``: ``build_<key>`` in
+    :mod:`repro.campaign.scenarios`.
 
-    The first call imports :mod:`repro.campaign.scenarios` and with it every
-    workload module (kernel, FIFOs, SoC, TLM).
+    The first call imports that module and with it every workload module
+    (kernel, FIFOs, SoC, TLM).
     """
-    from .scenarios import BUILDERS
+    from . import scenarios
 
-    return BUILDERS
+    return getattr(scenarios, f"build_{key}")
 
 
 def build_scenario(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
@@ -320,7 +321,7 @@ def build_scenario(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
             f"workload {spec.workload!r}; accepted: "
             f"{', '.join(entry.param_keys) or '(none)'}"
         )
-    return workload_builders()[spec.workload](sim, spec)
+    return workload_builder(spec.workload)(sim, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -114,18 +114,18 @@ class TestForkInheritance:
             """
             import sys
 
-            import repro.campaign.orchestrator.budget as budget
+            import repro.campaign.runner as runner
             from repro.campaign import CampaignRunner, ScenarioSpec
 
             assert "repro.soc.platform" not in sys.modules
-            real_run_in_pool = budget.run_in_pool
+            real_run_in_pool = runner.run_in_pool
             seen = []
 
             def spy(*args, **kwargs):
                 seen.append("repro.soc.platform" in sys.modules)
                 return real_run_in_pool(*args, **kwargs)
 
-            budget.run_in_pool = spy
+            runner.run_in_pool = spy
             result = CampaignRunner(workers=2).run(
                 [ScenarioSpec("soc", "soc", depth=8)]
             )

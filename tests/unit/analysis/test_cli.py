@@ -158,7 +158,8 @@ class TestCampaignCommand:
     def test_auto_replay_on_a_paired_campaign_says_it_routed_nothing(
         self, capsys
     ):
-        argv = ["campaign", "--specs", "writer_reader_d1,streaming_d2"]
+        # streaming_d2 and streaming_d8 form one sweep group.
+        argv = ["campaign", "--specs", "streaming_d2,streaming_d8"]
 
         def fingerprint(output):
             return [
@@ -178,6 +179,16 @@ class TestCampaignCommand:
         assert fingerprint(routed.out) == fingerprint(plain.out) != []
         assert cli.main(argv + ["--auto-replay", "--no-paired"]) == 0
         assert "auto-replay routed" not in capsys.readouterr().err
+
+    def test_auto_replay_blames_pairing_only_when_it_held_a_group_back(
+        self, capsys
+    ):
+        # Two workloads, two singleton groups: nothing to replay with or
+        # without pairs, so pairing is not why nothing was routed.
+        argv = ["campaign", "--specs", "writer_reader_d1,streaming_d2",
+                "--auto-replay"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestCampaignScaleOutFlags:

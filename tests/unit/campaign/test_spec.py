@@ -105,9 +105,13 @@ class TestRegistry:
         assert workload_entry(key).param_keys == fields
 
     def test_metadata_and_builders_cover_the_same_workloads(self):
-        from repro.campaign.spec import workload_builders
+        from repro.campaign import scenarios
 
-        assert sorted(workload_builders()) == list(registered_workloads())
+        builders = sorted(
+            name[len("build_"):] for name in vars(scenarios)
+            if name.startswith("build_")
+        )
+        assert builders == list(registered_workloads())
 
     def test_pairability_rules(self):
         assert spec_is_pairable(ScenarioSpec("a", "streaming"))
