@@ -183,6 +183,42 @@ def trace_emit_burst_ops():
     return count
 
 
+#: Writers of the digest micro-benchmark: records interleave several names.
+DIGEST_PROCESSES = ("top.source", "top.stage0", "top.stage1", "top.sink")
+#: One femtosecond count per display unit of ``format_fs`` (fs ... sec):
+#: the benchmark's dates walk through all of them.
+DIGEST_UNITS_FS = (1, 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12, 10 ** 15)
+#: Sink buffer of the digest micro-benchmark: ``TRACE_EMITS`` records spill
+#: several sorted runs, so the digest streams a real external merge.
+DIGEST_MAX_BUFFERED = 512
+
+
+def trace_digest_lines():
+    """Emit ``TRACE_EMITS`` records into a spilling digest sink, then
+    digest them: the whole trace path of one campaign job (encode, spill,
+    merge, format, hash) per line.
+
+    Each group of ``len(DIGEST_PROCESSES)`` records shares one date, as
+    processes meeting at a FIFO do; successive dates cycle through every
+    display unit.
+    """
+    from repro.kernel.tracing import DigestSink
+
+    sink = DigestSink(max_buffered=DIGEST_MAX_BUFFERED)
+    names = len(DIGEST_PROCESSES)
+    for index in range(TRACE_EMITS):
+        step = index // names
+        local_fs = step * DIGEST_UNITS_FS[step % len(DIGEST_UNITS_FS)]
+        sink.emit(DIGEST_PROCESSES[index % names], local_fs, local_fs,
+                  f"checkpoint {index}")
+    if not sink.spilled_runs:
+        raise AssertionError("digest micro-benchmark: the sink never spilled")
+    sink.digest()
+    count = len(sink)
+    sink.close()
+    return count
+
+
 def trace_emit_off_ops():
     """Same loop with tracing off: the one-attribute-check fast path."""
     from repro.kernel.tracing import NullSink
@@ -221,6 +257,11 @@ def test_trace_emit(benchmark):
 def test_trace_emit_burst(benchmark):
     benchmark.group = "trace emit"
     assert benchmark(trace_emit_burst_ops) == TRACE_EMITS
+
+
+def test_trace_digest(benchmark):
+    benchmark.group = "trace emit"
+    assert benchmark(trace_digest_lines) == TRACE_EMITS
 
 
 def test_trace_emit_off(benchmark):

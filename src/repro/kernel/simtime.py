@@ -168,10 +168,30 @@ class SimTime:
         return f"SimTime({self._fs} fs)"
 
     def __str__(self) -> str:
-        for unit in (TimeUnit.SEC, TimeUnit.MS, TimeUnit.US, TimeUnit.NS, TimeUnit.PS):
-            if self._fs != 0 and self._fs % int(unit) == 0:
-                return f"{self._fs // int(unit)} {unit}"
-        return f"{self._fs} fs"
+        return format_fs(self._fs)
+
+
+#: Display units of :func:`format_fs`, largest first: plain ints, so a
+#: trace date formats without touching the :class:`TimeUnit` enum.
+_DISPLAY_UNITS = (
+    (10 ** 15, " sec"),
+    (10 ** 12, " ms"),
+    (10 ** 9, " us"),
+    (10 ** 6, " ns"),
+    (10 ** 3, " ps"),
+)
+
+
+def format_fs(femto: int) -> str:
+    """Display text of a femtosecond count: the value in the largest unit
+    that divides it exactly (``"20 ns"``, ``"1500 fs"``; zero is
+    ``"0 fs"``).  The one date formatter of ``str(SimTime)`` and of every
+    trace line."""
+    if femto:
+        for scale, suffix in _DISPLAY_UNITS:
+            if not femto % scale:
+                return f"{femto // scale}{suffix}"
+    return f"{femto} fs"
 
 
 #: The zero duration (also used for delta notifications).

@@ -36,10 +36,11 @@ Ordering is defined by :meth:`TraceRecord.sort_key` — the tuple
 as one text line whose lexicographic order equals the tuple order (fixed
 width zero-padded date, ``\\x1f``-separated fields), so spilled runs can be
 merged with :func:`heapq.merge` and formatted lines are only rebuilt while
-streaming the final merge.  The encoding requires ``process`` and
-``message`` to stay free of ``\\n`` and ``\\x1f`` — which single-line trace
-messages already are — and dates to fit 20 decimal digits of femtoseconds
-(about three simulated years).
+streaming the final merge.  The encoding requires ``message`` to stay free
+of ``\\n`` and ``\\x1f`` — which single-line trace messages already are —
+``process`` to stay free of every control character up to ``\\x1f`` (one
+below the separator would sort a longer name before its prefix), and dates
+to fit 20 decimal digits of femtoseconds (about three simulated years).
 
 A lightweight VCD writer is also provided for waveform-style inspection of
 signals and FIFO fill levels.
@@ -51,9 +52,12 @@ import hashlib
 import heapq
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, IO, Iterable, Iterator, List, Optional, TextIO, Tuple
+from itertools import islice
+from typing import (
+    Dict, IO, Iterable, Iterator, List, Optional, Set, TextIO, Tuple,
+)
 
-from .simtime import SimTime
+from .simtime import SimTime, format_fs
 
 
 @dataclass(frozen=True)
@@ -84,22 +88,29 @@ class TraceRecord:
         return (self.local_fs, self.process, self.message)
 
     def format(self) -> str:
-        return f"[{self.local_time}] {self.process}: {self.message}"
+        return f"[{format_fs(self.local_fs)}] {self.process}: {self.message}"
+
+
+#: Lines joined and hashed per ``update`` by :func:`trace_lines_digest`:
+#: the digest never holds more than this many formatted lines at once.
+_DIGEST_CHUNK = 1024
 
 
 def trace_lines_digest(lines: Iterable[str]) -> str:
     """SHA-256 of reordered trace ``lines`` (the Section IV-A comparison key).
 
-    Defined as the hash of ``"\\n".join(lines)``; :meth:`DigestSink.digest`
-    computes the same value incrementally.
+    Defined as the hash of ``"\\n".join(lines)``, computed over fixed-size
+    chunks of lines so a streamed trace is never joined whole.
     """
     digest = hashlib.sha256()
-    first = True
-    for line in lines:
-        if not first:
-            digest.update(b"\n")
-        digest.update(line.encode())
-        first = False
+    lines = iter(lines)
+    chunk = list(islice(lines, _DIGEST_CHUNK))
+    while chunk:
+        digest.update("\n".join(chunk).encode())
+        chunk = list(islice(lines, _DIGEST_CHUNK))
+        if chunk:
+            # The separator between the previous chunk and this one.
+            chunk[0] = "\n" + chunk[0]
     return digest.hexdigest()
 
 
@@ -114,8 +125,10 @@ EMPTY_TRACE_DIGEST = hashlib.sha256(b"").hexdigest()
 #: zero-padded text equals numeric order for dates in [0, 10**20) fs.
 _FS_WIDTH = 20
 _FS_LIMIT = 10 ** _FS_WIDTH
-#: Field separator, below every character allowed in names/messages so the
-#: concatenation sorts exactly like the (local_fs, process, message) tuple.
+#: Field separator, below every character allowed in process names so the
+#: concatenation sorts exactly like the (local_fs, process, message) tuple
+#: (the message is the last field, so only ``\\n`` and the separator itself
+#: are barred from it).
 _SEP = "\x1f"
 
 
@@ -126,7 +139,7 @@ def encode_entry(process: str, local_fs: int, message: str) -> str:
             f"trace date {local_fs} fs outside the streamable range "
             f"[0, {_FS_LIMIT})"
         )
-    if _SEP in process or "\n" in process:
+    if process and min(process) <= _SEP:
         raise ValueError(f"process name {process!r} contains reserved characters")
     if _SEP in message or "\n" in message:
         raise ValueError(
@@ -145,7 +158,7 @@ def decode_entry(entry: str) -> Tuple[int, str, str]:
 def format_entry(entry: str) -> str:
     """The formatted trace line of an encoded entry."""
     local_fs, process, message = decode_entry(entry)
-    return f"[{SimTime.from_femtoseconds(local_fs)}] {process}: {message}"
+    return f"[{format_fs(local_fs)}] {process}: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +322,34 @@ class _StreamingSortSink(TraceSink):
         self._buffer: List[str] = []
         self._runs: List[IO[str]] = []
         self._count = 0
+        #: Process names that already passed :func:`encode_entry`'s
+        #: reserved-character check; the date and message of every record
+        #: are still checked.
+        self._checked_names: Set[str] = set()
 
     # -- emit path ------------------------------------------------------
+    def _encode(self, process: str, local_fs: int, message: str) -> str:
+        """:func:`encode_entry` with the name check done once per name:
+        a known name with an in-range date and a single-line message is
+        encoded inline (``_FS_WIDTH`` digits, ``_SEP`` written out);
+        anything else goes through :func:`encode_entry`, which raises
+        its own error on reserved characters or an out-of-range date."""
+        if (
+            process in self._checked_names
+            and 0 <= local_fs < _FS_LIMIT
+            and "\x1f" not in message
+            and "\n" not in message
+        ):
+            return f"{local_fs:020d}\x1f{process}\x1f{message}"
+        entry = encode_entry(process, local_fs, message)
+        self._checked_names.add(process)
+        return entry
+
     def emit(self, process: str, local_fs: int, global_fs: int, message: str) -> None:
         if not self.enabled:
             return
         buffer = self._buffer
-        buffer.append(encode_entry(process, local_fs, message))
+        buffer.append(self._encode(process, local_fs, message))
         self._count += 1
         if len(buffer) >= self._max_buffered:
             self._spill()
@@ -324,27 +358,30 @@ class _StreamingSortSink(TraceSink):
         self, process: str, global_fs: int,
         entries: Iterable[Tuple[int, str]],
     ) -> None:
-        """Batch emit: encode and append the whole span, then run the spill
-        check once.  The buffer may transiently exceed ``max_buffered`` by
-        one span; the eventual merge (and therefore the digest) only sees
-        the multiset of entries, so this is byte-identical to repeated
-        :meth:`emit`."""
+        """Batch emit: encode the whole span, append it, then run the spill
+        check once.  A span with one bad record raises before anything is
+        appended, so the count always matches what the digest covers.  The
+        buffer may transiently exceed ``max_buffered`` by one span; the
+        eventual merge (and therefore the digest) only sees the multiset of
+        entries, so this is byte-identical to repeated :meth:`emit`."""
         if not self.enabled:
             return
+        encode = self._encode
+        span = [encode(process, local_fs, message) for local_fs, message in entries]
         buffer = self._buffer
-        before = len(buffer)
-        buffer.extend(
-            encode_entry(process, local_fs, message)
-            for local_fs, message in entries
-        )
-        self._count += len(buffer) - before
+        buffer.extend(span)
+        self._count += len(span)
         if len(buffer) >= self._max_buffered:
             self._spill()
 
     def _spill(self) -> None:
         """Write the buffer out as one sorted run and empty it."""
         self._buffer.sort()
-        run = tempfile.TemporaryFile(mode="w+", prefix="trace_spool_")
+        # Lines end at "\n" only: under universal newlines a "\r" inside a
+        # message would split its entry when the run is read back.
+        run = tempfile.TemporaryFile(
+            mode="w+", encoding="utf-8", newline="\n", prefix="trace_spool_"
+        )
         run.writelines(line + "\n" for line in self._buffer)
         run.flush()
         self._runs.append(run)
@@ -368,8 +405,21 @@ class _StreamingSortSink(TraceSink):
         return heapq.merge(*streams)
 
     def iter_sorted_lines(self) -> Iterator[str]:
-        """The reordered formatted lines, streamed in sorted order."""
-        return map(format_entry, self.iter_encoded())
+        """The reordered formatted lines, streamed in sorted order.
+
+        Equal to ``map(format_entry, self.iter_encoded())``.  The entries
+        arrive sorted, so records sharing a date are adjacent: the
+        ``"[<date>] "`` prefix is formatted once per distinct date, and
+        each line is that prefix plus the entry's ``process\\x1fmessage``
+        tail with the separator turned into ``": "``.
+        """
+        key = "-"  # starts no entry: every entry starts with its date digits
+        prefix = ""
+        for entry in self.iter_encoded():
+            if not entry.startswith(key):
+                key = entry[:_FS_WIDTH]
+                prefix = f"[{format_fs(int(key))}] "
+            yield prefix + entry[_FS_WIDTH + 1:].replace(_SEP, ": ", 1)
 
     def sorted_lines(self) -> List[str]:
         """Convenience materialization (tests, small traces)."""

@@ -159,11 +159,16 @@ class DecoupledMixin:
 
     def log(self, message: str, local_time: Optional[SimTime] = None) -> None:
         sim = self.sim
-        if not sim.trace.enabled:
+        trace = sim.trace
+        if not trace.enabled:
             return
         if local_time is None:
-            local_time = self.local_time_stamp()
-        sim.log(message, local_time=local_time)
+            local_fs = get_local_time_manager(sim).local_fs(
+                sim.scheduler.current_process
+            )
+        else:
+            local_fs = local_time.femtoseconds
+        trace.emit(sim.current_process_name(), local_fs, sim.now_fs, message)
 
     def timed_wait(self, duration, unit: TimeUnit = TimeUnit.NS):
         """``inc`` followed by ``sync``: equivalent to a plain ``wait``.

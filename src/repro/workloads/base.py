@@ -261,12 +261,21 @@ class WorkloadModule(DecoupledMixin, Module):
         """Trace helper stamping the local date in decoupled mode.
 
         Emits through whatever :class:`~repro.kernel.tracing.TraceSink`
-        the simulator carries; with tracing off, the date bookkeeping is
-        skipped entirely.
+        the simulator carries, with integer dates only: in a decoupled
+        mode the stamp is the process local date
+        (:meth:`~repro.td.local_time.LocalTimeManager.local_fs`), otherwise
+        the kernel date.  With tracing off, nothing else runs.
         """
-        if not self.sim.trace.enabled:
+        trace = self.sim.trace
+        if not trace.enabled:
             return
-        if self.timing.is_decoupled:
-            self.log(message)
-        else:
-            self.log(message, local_time=self.now)
+        scheduler = self._scheduler
+        now_fs = scheduler.now_fs
+        process = scheduler.current_process
+        if process is None:
+            trace.emit(self.sim.current_process_name(), now_fs, now_fs, message)
+            return
+        local_fs = process.local_fs
+        if local_fs < now_fs or not self.timing.is_decoupled:
+            local_fs = now_fs
+        trace.emit(process.name, local_fs, now_fs, message)

@@ -1,5 +1,6 @@
 """Unit tests for the pluggable trace sink pipeline (kernel.tracing)."""
 
+import hashlib
 import io
 
 import pytest
@@ -64,6 +65,13 @@ class TestEncoding:
             encode_entry("p", 0, "two\nlines")
         with pytest.raises(ValueError, match="reserved"):
             encode_entry("p\x1fq", 0, "m")
+
+    def test_control_characters_in_names_rejected(self):
+        # "a\t" would sort before "a" once encoded: "\t" < the separator.
+        for name in ("a\t", "a\x00", "a\n", "\x1e"):
+            with pytest.raises(ValueError, match="process name"):
+                encode_entry(name, 0, "m")
+        encode_entry("a b", 0, "tab\tand\rcarriage return are fine here")
 
 
 class TestNullSink:
@@ -148,6 +156,73 @@ class TestStreamingSinks:
     def test_bad_buffer_size_rejected(self):
         with pytest.raises(ValueError, match="max_buffered"):
             DigestSink(max_buffered=0)
+
+
+class TestNameCache:
+    """A name that passed the reserved-character check once skips only
+    that check: every record's date and message are still checked, with
+    the exact error of :func:`encode_entry`."""
+
+    BAD_RECORDS = [
+        ("p", 0, "a\x1fb"),
+        ("p", 0, "two\nlines"),
+        ("p", -1, "m"),
+        ("p", 10 ** 20, "m"),
+        ("new\x1fname", 0, "m"),
+    ]
+
+    @pytest.mark.parametrize("sink_type", [DigestSink, SpoolSink])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("bad", BAD_RECORDS)
+    def test_cached_name_skips_no_check(self, sink_type, batched, bad):
+        process, local_fs, message = bad
+        with pytest.raises(ValueError) as defined:
+            encode_entry(process, local_fs, message)
+        sink = sink_type()
+        sink.emit("p", 0, 0, "good")
+        sink.emit_many("p", 0, [(1, "good too")])
+        with pytest.raises(ValueError) as raised:
+            if batched:
+                sink.emit_many(process, 0, [(2, "fine"), (local_fs, message)])
+            else:
+                sink.emit(process, local_fs, 0, message)
+        assert str(raised.value) == str(defined.value)
+        # The failed record, and in a span every record of it, is dropped:
+        # the count still matches the lines the digest covers.
+        assert len(sink) == len(sink.sorted_lines()) == 2
+        sink.close()
+
+    def test_inline_encoding_equals_encode_entry(self):
+        sink = DigestSink()
+        sink.emit("p", 7, 0, "first")  # checked, then cached
+        sink.emit("p", 1500, 0, "second")
+        sink.emit_many("p", 0, [(10 ** 20 - 1, "last"), (0, "")])
+        assert list(sink.iter_encoded()) == sorted([
+            encode_entry("p", 7, "first"),
+            encode_entry("p", 1500, "second"),
+            encode_entry("p", 10 ** 20 - 1, "last"),
+            encode_entry("p", 0, ""),
+        ])
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2048, 2049, 5000])
+def test_chunked_digest_across_chunk_boundaries(count):
+    lines = [f"[{index} fs] p: m{index}" for index in range(count)]
+    expected = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert trace_lines_digest(lines) == expected
+    assert trace_lines_digest(line for line in lines) == expected
+
+
+def test_spilled_runs_keep_carriage_returns_inside_messages():
+    records = [("p", 5, "a\rb"), ("p", 3, "c\r"), ("q", 3, "e\x85f")]
+    reference = ListSink()
+    spilled = DigestSink(max_buffered=1)
+    fill(reference, records)
+    fill(spilled, records)
+    assert spilled.spilled_runs == 3
+    assert spilled.sorted_lines() == reference.sorted_lines()
+    assert spilled.digest() == reference.digest()
+    spilled.close()
 
 
 class TestMakeSink:

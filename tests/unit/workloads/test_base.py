@@ -7,7 +7,9 @@ from repro.fifo.regular_fifo import RegularFifo
 from repro.fifo.smart_fifo import SmartFifo
 from repro.kernel import Simulator
 from repro.kernel.simtime import TimeUnit
+from repro.kernel.tracing import TraceRecord
 from repro.td import GlobalQuantum
+from repro.td.local_time import get_local_time_manager
 from repro.workloads import TimingMode, WorkloadModule
 
 
@@ -90,6 +92,67 @@ class TestAdvanceSemantics:
         sim.run()
         record = list(sim.trace)[-1]
         assert record.local_fs == record.global_fs
+
+
+class Stamper(WorkloadModule):
+    """Checkpoints while elaborating, then from a process whose stored
+    local date is unset (-1), ahead of, equal to and behind the kernel
+    date.  ``expected`` holds the record the ``log`` route stamps: the
+    :class:`LocalTimeManager` local date in a decoupled mode, the kernel
+    date otherwise."""
+
+    def __init__(self, parent, name, timing):
+        super().__init__(parent, name, timing)
+        self.expected = []
+        self.cases = []
+        self.stamp("elaborating")
+        self.create_thread(self.run)
+
+    def stamp(self, message):
+        sim = self.sim
+        now_fs = sim.now_fs
+        process = sim.scheduler.current_process
+        if process is None:
+            self.cases.append("no process")
+        elif process.local_fs == -1:
+            self.cases.append("unset")
+        else:
+            self.cases.append(
+                "ahead" if process.local_fs > now_fs
+                else "equal" if process.local_fs == now_fs else "behind"
+            )
+        if self.timing.is_decoupled:
+            local_fs = get_local_time_manager(sim).local_fs(process)
+        else:
+            local_fs = now_fs
+        self.expected.append(
+            TraceRecord(local_fs, now_fs, sim.current_process_name(), message)
+        )
+        self.checkpoint(message)
+
+    def run(self):
+        ltm = get_local_time_manager(self.sim)
+        process = self.sim.scheduler.current_process
+        yield self.wait(10)
+        self.stamp("never decoupled")
+        ltm.advance_fs(process, 5 * TimeUnit.NS)
+        self.stamp("ahead")
+        ltm.set_synchronized(process)
+        self.stamp("equal")
+        yield self.wait(20)
+        self.stamp("behind")
+
+
+class TestCheckpointDates:
+    @pytest.mark.parametrize("timing", list(TimingMode))
+    def test_checkpoint_stamps_what_the_log_route_stamped(self, sim, timing):
+        stamper = Stamper(sim, "stamper", timing)
+        sim.run()
+        assert stamper.cases == ["no process", "unset", "ahead", "equal", "behind"]
+        assert sim.trace.records == stamper.expected
+        # Only the "ahead" case tells the two stamping rules apart.
+        ahead = stamper.expected[2]
+        assert (ahead.local_fs > ahead.global_fs) == timing.is_decoupled
 
 
 class TestQuantumKeeperLaziness:
