@@ -102,12 +102,3 @@ def test_every_digest_path_hashes_the_defined_bytes(trace, max_buffered, batched
     digest_sink.close()
     spool.close()
 
-
-@given(
-    lines=st.lists(st.sampled_from(["", "a", "[0 fs] p: m", "é"]), max_size=3000),
-)
-@settings(max_examples=40, deadline=None)
-def test_chunked_hash_equals_hash_of_the_joined_lines(lines):
-    expected = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert trace_lines_digest(lines) == expected
-    assert trace_lines_digest(iter(lines)) == expected
